@@ -1,30 +1,21 @@
 """Array kernels behind the distance and score hot paths.
 
-Two interchangeable implementations of every kernel: numba-jitted loops
-(the default whenever numba imports) and pure numpy.  Set CFKIT_BACKEND to
-``numpy`` or ``numba`` to force one.
+Every public distance and score function is a thin wrapper over the
+kernels here.  Kernels operate on ``(n, 4)`` float64 component rows
+``(u*, v*, j, h)``.  The Minkowski order is an integer code: 1..64 for the
+order itself, 0 for the Chebyshev limit.
 
-The backends produce bitwise-identical results.  Each kernel performs only
-exactly-rounded operations in a fixed order (abs, max, additions, and
-integer powers by exponent-by-squaring); the final p-th root and the
-lambda combination run in shared numpy code on the aggregated arrays, so no
-libm pow discrepancy can creep in between the two implementations.
-
-Kernels operate on ``(n, 4)`` float64 component rows ``(u*, v*, j, h)``.
-The Minkowski order is an integer code: 1..64 for the order itself, 0 for
-the Chebyshev limit.
+The aggregations perform only exactly-rounded operations in a fixed order
+(abs, max, additions, and integer powers by exponent-by-squaring), followed
+by one p-th root.  A scalar call and a batch call over the same rows
+therefore give bitwise-identical results.
 """
 
 from __future__ import annotations
 
-import os
-from types import SimpleNamespace
-
 import numpy as np
 
 CHEBYSHEV_CODE = 0
-
-_ENV_FLAG = "CFKIT_BACKEND"
 
 
 def _rows(x) -> np.ndarray:
@@ -42,10 +33,6 @@ def _root(s: np.ndarray, p: int) -> np.ndarray:
         return np.sqrt(s)
     return s ** (1.0 / p)
 
-
-# ---------------------------------------------------------------------------
-# pure-numpy aggregation
-# ---------------------------------------------------------------------------
 
 def _np_ipow(x: np.ndarray, p: int) -> np.ndarray:
     out = np.ones_like(x)
@@ -75,30 +62,44 @@ def _np_agg3(t0, t1, t2, p):
     return (_np_ipow(t0, p) + _np_ipow(t1, p)) + _np_ipow(t2, p)
 
 
-def _np_cfim_agg(a, b, p):
-    return _np_agg4(
+def cfim_pairwise(a, b, p_code: int) -> np.ndarray:
+    """Row-wise improved Minkowski distance over 4-component rows."""
+    a, b = _rows(a), _rows(b)
+    agg = _np_agg4(
         np.abs(a[:, 0] - b[:, 0]),
         np.abs(a[:, 1] - b[:, 1]),
         np.abs(a[:, 2] - b[:, 2]),
         np.abs(a[:, 3] - b[:, 3]),
-        p,
+        p_code,
     )
+    return _root(agg, p_code)
 
 
-def _np_legacy_agg(a, b, p):
-    return _np_agg3(
+def legacy_pairwise(a, b, p_code: int) -> np.ndarray:
+    """Row-wise Minkowski distance over (u*, v*, j) only."""
+    a, b = _rows(a), _rows(b)
+    agg = _np_agg3(
         np.abs(a[:, 0] - b[:, 0]),
         np.abs(a[:, 1] - b[:, 1]),
         np.abs(a[:, 2] - b[:, 2]),
-        p,
+        p_code,
     )
+    return _root(agg, p_code)
 
 
-def _np_cfh(a, b):
+def cfh_pairwise(a, b) -> np.ndarray:
+    """Row-wise Hausdorff distance ``max(|du*|, |dv*|)``."""
+    a, b = _rows(a), _rows(b)
     return np.maximum(np.abs(a[:, 0] - b[:, 0]), np.abs(a[:, 1] - b[:, 1]))
 
 
-def _np_score_agg(f, p):
+def anchor_distances(rows, p_code: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Combined distances of many CFN rows to the worst and the best anchor.
+
+    The anchors ``<0,1,0>`` and ``<1,0,0>`` have the component rows
+    ``(0, 1, 0, 0)`` and ``(1, 0, 0, 0)``.
+    """
+    f = _rows(rows)
     us, vs, j, h = f[:, 0], f[:, 1], f[:, 2], f[:, 3]
     w0 = np.abs(us - 0.0)
     w1 = np.abs(vs - 1.0)
@@ -106,206 +107,14 @@ def _np_score_agg(f, p):
     w3 = np.abs(h - 0.0)
     b0 = np.abs(us - 1.0)
     b1 = np.abs(vs - 0.0)
-    return (
-        _np_agg4(w0, w1, w2, w3, p),
-        np.maximum(w0, w1),
-        _np_agg4(b0, b1, w2, w3, p),
-        np.maximum(b0, b1),
-    )
-
-
-_NUMPY_IMPL = {
-    "cfim_agg": _np_cfim_agg,
-    "legacy_agg": _np_legacy_agg,
-    "cfh": _np_cfh,
-    "score_agg": _np_score_agg,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba aggregation
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _nb_ipow(x, p):
-        out = 1.0
-        base = x
-        n = p
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    @njit(cache=True)
-    def _nb_agg4(t0, t1, t2, t3, p):
-        if p == 0:
-            return max(max(t0, t1), max(t2, t3))
-        if p == 1:
-            return ((t0 + t1) + t2) + t3
-        return ((_nb_ipow(t0, p) + _nb_ipow(t1, p)) + _nb_ipow(t2, p)) + _nb_ipow(t3, p)
-
-    @njit(cache=True)
-    def _nb_agg3(t0, t1, t2, p):
-        if p == 0:
-            return max(max(t0, t1), t2)
-        if p == 1:
-            return (t0 + t1) + t2
-        return (_nb_ipow(t0, p) + _nb_ipow(t1, p)) + _nb_ipow(t2, p)
-
-    @njit(cache=True)
-    def _nb_cfim_agg(a, b, p):
-        out = np.empty(a.shape[0])
-        for i in range(a.shape[0]):
-            out[i] = _nb_agg4(
-                abs(a[i, 0] - b[i, 0]),
-                abs(a[i, 1] - b[i, 1]),
-                abs(a[i, 2] - b[i, 2]),
-                abs(a[i, 3] - b[i, 3]),
-                p,
-            )
-        return out
-
-    @njit(cache=True)
-    def _nb_legacy_agg(a, b, p):
-        out = np.empty(a.shape[0])
-        for i in range(a.shape[0]):
-            out[i] = _nb_agg3(
-                abs(a[i, 0] - b[i, 0]),
-                abs(a[i, 1] - b[i, 1]),
-                abs(a[i, 2] - b[i, 2]),
-                p,
-            )
-        return out
-
-    @njit(cache=True)
-    def _nb_cfh(a, b):
-        out = np.empty(a.shape[0])
-        for i in range(a.shape[0]):
-            out[i] = max(abs(a[i, 0] - b[i, 0]), abs(a[i, 1] - b[i, 1]))
-        return out
-
-    @njit(cache=True)
-    def _nb_score_agg(f, p):
-        n = f.shape[0]
-        w_agg = np.empty(n)
-        w_max = np.empty(n)
-        b_agg = np.empty(n)
-        b_max = np.empty(n)
-        for i in range(n):
-            us = f[i, 0]
-            vs = f[i, 1]
-            j = f[i, 2]
-            h = f[i, 3]
-            w0 = abs(us - 0.0)
-            w1 = abs(vs - 1.0)
-            w2 = abs(j - 0.0)
-            w3 = abs(h - 0.0)
-            b0 = abs(us - 1.0)
-            b1 = abs(vs - 0.0)
-            w_agg[i] = _nb_agg4(w0, w1, w2, w3, p)
-            w_max[i] = max(w0, w1)
-            b_agg[i] = _nb_agg4(b0, b1, w2, w3, p)
-            b_max[i] = max(b0, b1)
-        return w_agg, w_max, b_agg, b_max
-
-    _NUMBA_IMPL = {
-        "cfim_agg": _nb_cfim_agg,
-        "legacy_agg": _nb_legacy_agg,
-        "cfh": _nb_cfh,
-        "score_agg": _nb_score_agg,
-    }
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _NUMBA_IMPL = None
-
-
-# ---------------------------------------------------------------------------
-# selection
-# ---------------------------------------------------------------------------
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _NUMBA_IMPL is not None else ("numpy",)
-
-
-def _impl_table(name: str) -> dict:
-    if name == "numpy":
-        return _NUMPY_IMPL
-    if name == "numba":
-        if _NUMBA_IMPL is None:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        return _NUMBA_IMPL
-    raise ValueError(f"unknown backend {name!r}; expected 'numba' or 'numpy'")
-
-
-def bound_kernels(name: str) -> SimpleNamespace:
-    """Public kernel set bound to an explicit backend (used by benchmarks)."""
-    impl = _impl_table(name)
-
-    def cfim_pairwise(a, b, p_code: int) -> np.ndarray:
-        return _root(impl["cfim_agg"](_rows(a), _rows(b), p_code), p_code)
-
-    def legacy_pairwise(a, b, p_code: int) -> np.ndarray:
-        return _root(impl["legacy_agg"](_rows(a), _rows(b), p_code), p_code)
-
-    def cfh_pairwise(a, b) -> np.ndarray:
-        return impl["cfh"](_rows(a), _rows(b))
-
-    def score_many(f, p_code: int, lam: float) -> np.ndarray:
-        w_agg, w_max, b_agg, b_max = impl["score_agg"](_rows(f), p_code)
-        lam = float(lam)
-        oml = 1.0 - lam
-        d_worst = lam * _root(w_agg, p_code) + oml * w_max
-        d_best = lam * _root(b_agg, p_code) + oml * b_max
-        return d_worst / (d_worst + d_best)
-
-    return SimpleNamespace(
-        name=name,
-        cfim_pairwise=cfim_pairwise,
-        legacy_pairwise=legacy_pairwise,
-        cfh_pairwise=cfh_pairwise,
-        score_many=score_many,
-    )
-
-
-def _select() -> str:
-    flag = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if flag in ("", "auto"):
-        return "numba" if _NUMBA_IMPL is not None else "numpy"
-    if flag in ("numba", "numpy"):
-        return flag
-    raise ValueError(f"{_ENV_FLAG}={flag!r} not understood; use 'numba' or 'numpy'")
-
-
-_ACTIVE = bound_kernels(_select())
-
-
-def backend_name() -> str:
-    return _ACTIVE.name
-
-
-# ---------------------------------------------------------------------------
-# public kernels (active backend)
-# ---------------------------------------------------------------------------
-
-def cfim_pairwise(a, b, p_code: int) -> np.ndarray:
-    """Row-wise improved Minkowski distance over 4-component rows."""
-    return _ACTIVE.cfim_pairwise(a, b, p_code)
-
-
-def legacy_pairwise(a, b, p_code: int) -> np.ndarray:
-    """Row-wise Minkowski distance over (u*, v*, j) only."""
-    return _ACTIVE.legacy_pairwise(a, b, p_code)
-
-
-def cfh_pairwise(a, b) -> np.ndarray:
-    """Row-wise Hausdorff distance ``max(|du*|, |dv*|)``."""
-    return _ACTIVE.cfh_pairwise(a, b)
+    lam = float(lam)
+    oml = 1.0 - lam
+    d_worst = lam * _root(_np_agg4(w0, w1, w2, w3, p_code), p_code) + oml * np.maximum(w0, w1)
+    d_best = lam * _root(_np_agg4(b0, b1, w2, w3, p_code), p_code) + oml * np.maximum(b0, b1)
+    return d_worst, d_best
 
 
 def score_many(f, p_code: int, lam: float) -> np.ndarray:
     """Combined-distance scores of many CFN rows against the two anchors."""
-    return _ACTIVE.score_many(f, p_code, lam)
+    d_worst, d_best = anchor_distances(f, p_code, lam)
+    return d_worst / (d_worst + d_best)

@@ -20,12 +20,12 @@ import numpy as np
 from . import figures
 from .cfn import CognitiveFuzzyNumber
 from .distance import (
-    CHEBYSHEV,
     DistanceParams,
     cf_c,
     cf_h,
     cf_im,
     legacy_minkowski,
+    parse_order,
 )
 from .errors import CfkitError
 from .pain import (
@@ -52,12 +52,6 @@ def _default_seed() -> int:
         raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from exc
 
 
-def _order(text: str):
-    if text.strip().lower() in ("inf", "chebyshev", "cheb"):
-        return CHEBYSHEV
-    return int(text)
-
-
 def _cfn(text: str) -> CognitiveFuzzyNumber:
     return CognitiveFuzzyNumber.parse(text)
 
@@ -68,10 +62,7 @@ def _open_out(path):
 
 def _write_rows(path, header, rows) -> None:
     with _open_out(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([figures.csv_cell(x) for x in row])
+        figures.write_csv(fh, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +84,19 @@ def _run_distance(args) -> int:
     if args.batch:
         lines = []
         with open(args.batch, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row:
                     continue
-                u1, v1, j1, u2, v2, j2 = (float(x) for x in row)
-                d = measure(CognitiveFuzzyNumber(u1, v1, j1), CognitiveFuzzyNumber(u2, v2, j2))
-                lines.append(f"{d:.6f}")
+                try:
+                    if len(row) != 6:
+                        raise ValueError(f"expected 6 fields u1,v1,j1,u2,v2,j2, got {len(row)}")
+                    u1, v1, j1, u2, v2, j2 = (float(x) for x in row)
+                    f1 = CognitiveFuzzyNumber(u1, v1, j1)
+                    f2 = CognitiveFuzzyNumber(u2, v2, j2)
+                except ValueError as exc:
+                    raise type(exc)(f"{args.batch} line {reader.line_num}: {exc}") from exc
+                lines.append(f"{measure(f1, f2):.6f}")
         text = "\n".join(lines) + "\n"
     elif args.f1 is not None and args.f2 is not None:
         text = f"{measure(args.f1, args.f2):.6f}\n"
@@ -220,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dist = sub.add_parser("distance", help="distance between two CFNs")
     dist.add_argument("--measure", choices=("legacy", "im", "h", "c"), required=True)
-    dist.add_argument("--p", type=_order, default=2,
+    dist.add_argument("--p", type=parse_order, default=2,
                       help="Minkowski order 1..64 or 'inf' (read by legacy/im/c)")
     dist.add_argument("--lambda", dest="lam", type=float, default=0.5,
                       help="balance parameter (read by measure c only)")
@@ -231,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist.set_defaults(func=_run_distance)
 
     sc = sub.add_parser("score", help="combined-distance score of a CFN")
-    sc.add_argument("--p", type=_order, default=2)
+    sc.add_argument("--p", type=parse_order, default=2)
     sc.add_argument("--lambda", dest="lam", type=float, default=0.5)
     sc.add_argument("--json", action="store_true", help="full-precision JSON output")
     sc.add_argument("--sweep", action="store_true",
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--pair", nargs=2, type=_cfn, required=True, metavar=("F1", "F2"))
     sim.add_argument("--trials", type=int, default=100)
     sim.add_argument("--seed", type=int, default=_default_seed())
-    sim.add_argument("--p", action="append", type=_order,
+    sim.add_argument("--p", action="append", type=parse_order,
                      help="repeatable; default 1 2 3")
     sim.add_argument("--lambda", dest="lam", action="append", type=float,
                      help="repeatable; default 0 0.25 0.5 0.75 1")
@@ -262,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     pain.set_defaults(func=_run_pain_eval)
 
     sw = sub.add_parser("sweep", help="distance-versus-lambda trend of a pair")
-    sw.add_argument("--p", action="append", type=_order, help="repeatable; default 1")
+    sw.add_argument("--p", action="append", type=parse_order, help="repeatable; default 1")
     sw.add_argument("--lambda-points", type=int, default=101)
     sw.add_argument("--out")
     sw.add_argument("f1", type=_cfn)

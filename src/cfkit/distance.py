@@ -46,6 +46,20 @@ def order_code(p) -> int:
     return p
 
 
+def parse_order(text: str):
+    """Read a Minkowski order written as text: an integer, or ``inf``.
+
+    ``inf``, ``chebyshev`` and ``cheb`` (any case) name ``CHEBYSHEV``.  The
+    range check is left to ``order_code``.
+    """
+    if text.strip().lower() in ("inf", "chebyshev", "cheb"):
+        return CHEBYSHEV
+    try:
+        return int(text)
+    except ValueError:
+        raise OutOfRangeError(f"order p must be an integer or 'inf', got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class DistanceParams:
     """Minkowski order and balance parameter for the combined distance.

@@ -120,12 +120,12 @@ def fig8_rows() -> list[tuple]:
     return [("legacy", row.p, None, row.j_opt, row.s_opt, row.gap) for row in rows]
 
 
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([csv_cell(x) for x in row])
+def write_csv(fh, header, rows) -> None:
+    """Write a header and rows as CSV to the open text file ``fh``."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([csv_cell(x) for x in row])
 
 
 def export_figure_datasets(out_dir, seed: int = DEFAULT_SEED) -> list[Path]:
@@ -144,6 +144,7 @@ def export_figure_datasets(out_dir, seed: int = DEFAULT_SEED) -> list[Path]:
     for name in FIGURE_FILES:
         header, rows = datasets[name]
         path = out / name
-        write_csv(path, header, rows)
+        with open(path, "w", newline="") as fh:
+            write_csv(fh, header, rows)
         paths.append(path)
     return paths

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import backends
 from .cfn import joint_bounds
-from .distance import DistanceParams, order_code
+from .distance import DistanceParams, order_code, parse_order
 from .errors import (
     BadItemCountError,
     EmptyFeasibleRegionError,
@@ -84,7 +84,10 @@ def assessment_from_dict(data: dict) -> tuple[PainAssessment, DistanceParams]:
         )
     except KeyError as exc:
         raise ValueError(f"missing key {exc} in assessment object") from exc
-    params = DistanceParams(p=data.get("p", 2), lam=data.get("lambda", 0.5))
+    p = data.get("p", 2)
+    if isinstance(p, str):
+        p = parse_order(p)
+    params = DistanceParams(p=p, lam=data.get("lambda", 0.5))
     return assessment, params
 
 

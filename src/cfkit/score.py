@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import backends
 from .cfn import CognitiveFuzzyNumber
-from .distance import DistanceParams, cf_c
+from .distance import DistanceParams, component_row, order_code
 from .errors import DegenerateDenominatorError
 
 BEST_ANCHOR = CognitiveFuzzyNumber(1.0, 0.0, 0.0)
@@ -39,8 +40,10 @@ class ScoreResult:
 
 def score(f: CognitiveFuzzyNumber, params: DistanceParams) -> ScoreResult:
     """Combined-distance score of ``f`` under the given order and balance."""
-    d_worst = cf_c(f, WORST_ANCHOR, params)
-    d_best = cf_c(f, BEST_ANCHOR, params)
+    d_worst, d_best = backends.anchor_distances(
+        component_row(f).reshape(1, 4), order_code(params.p), params.lam
+    )
+    d_worst, d_best = float(d_worst[0]), float(d_best[0])
     denom = d_worst + d_best
     if denom < 1e-12:
         raise DegenerateDenominatorError(

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -9,47 +5,7 @@ from cfkit import DistanceParams, cf_c, cf_h, cf_im, legacy_minkowski, score
 from cfkit import backends
 from cfkit.distance import component_rows, order_code
 
-from helpers import random_cfns, random_component_rows
-
-HAS_NUMBA = "numba" in backends.available_backends()
-
-P_CODES = [0, 1, 2, 3, 7, 10, 64]
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-class TestBackendAgreement:
-    def setup_method(self):
-        rng = np.random.default_rng(11)
-        self.a = random_component_rows(rng, 4000)
-        self.b = random_component_rows(rng, 4000)
-        self.nb = backends.bound_kernels("numba")
-        self.np_ = backends.bound_kernels("numpy")
-
-    @pytest.mark.parametrize("p", P_CODES)
-    def test_cfim_bitwise(self, p):
-        assert np.array_equal(
-            self.nb.cfim_pairwise(self.a, self.b, p),
-            self.np_.cfim_pairwise(self.a, self.b, p),
-        )
-
-    @pytest.mark.parametrize("p", P_CODES)
-    def test_legacy_bitwise(self, p):
-        assert np.array_equal(
-            self.nb.legacy_pairwise(self.a, self.b, p),
-            self.np_.legacy_pairwise(self.a, self.b, p),
-        )
-
-    def test_cfh_bitwise(self):
-        assert np.array_equal(
-            self.nb.cfh_pairwise(self.a, self.b), self.np_.cfh_pairwise(self.a, self.b)
-        )
-
-    @pytest.mark.parametrize("p", P_CODES)
-    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
-    def test_score_bitwise(self, p, lam):
-        assert np.array_equal(
-            self.nb.score_many(self.a, p, lam), self.np_.score_many(self.a, p, lam)
-        )
+from helpers import random_cfns
 
 
 class TestScalarMatchesBatch:
@@ -91,39 +47,6 @@ class TestScalarMatchesBatch:
 
 
 class TestSelection:
-    def test_available_includes_numpy(self):
-        assert "numpy" in backends.available_backends()
-
-    def test_bound_kernels_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            backends.bound_kernels("cython")
-
     def test_rows_shape_check(self):
         with pytest.raises(ValueError):
             backends.cfh_pairwise(np.zeros((3, 2)), np.zeros((3, 2)))
-
-    @pytest.mark.parametrize("flag,expected", [("numpy", "numpy"), ("auto", None)])
-    def test_env_flag(self, flag, expected):
-        env = dict(os.environ, CFKIT_BACKEND=flag)
-        out = subprocess.run(
-            [sys.executable, "-c", "import cfkit.backends as b; print(b.backend_name())"],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 0
-        if expected is not None:
-            assert out.stdout.strip() == expected
-        else:
-            assert out.stdout.strip() in ("numba", "numpy")
-
-    def test_env_flag_rejects_unknown(self):
-        env = dict(os.environ, CFKIT_BACKEND="fortran")
-        out = subprocess.run(
-            [sys.executable, "-c", "import cfkit.backends"],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode != 0
-        assert "CFKIT_BACKEND" in out.stderr

@@ -55,6 +55,27 @@ class TestDistanceCommand:
         assert code == 0
         assert out.splitlines() == ["1.460000", "1.600000"]
 
+    @pytest.mark.parametrize(
+        "bad_row,error,message",
+        [
+            ("0.8,0.4,0.32,0.1", "ValueError", "line 2: expected 6 fields u1,v1,j1,u2,v2,j2, got 4"),
+            ("0.8,abc,0.32,0.1,0.9,0.09", "ValueError",
+             "line 2: could not convert string to float: 'abc'"),
+            ("0.8,0.4,0.5,0.1,0.9,0.09", "JointBoundViolationError",
+             "line 2: joint degree 0.5 outside admissible interval"),
+        ],
+        ids=["field-count", "non-numeric", "joint-bound"],
+    )
+    def test_batch_error_names_line(self, capsys, tmp_path, bad_row, error, message):
+        batch = tmp_path / "pairs.csv"
+        batch.write_text(f"0.3,0.2,0.1,1,0,0\n{bad_row}\n")
+        code, out, err = run(capsys, "distance", "--measure", "c", "--batch", str(batch))
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == error
+        assert payload["message"].startswith(f"{batch} {message}")
+
     def test_missing_operands(self, capsys):
         code, _, err = run(capsys, "distance", "--measure", "h")
         assert code == 1

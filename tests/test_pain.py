@@ -3,6 +3,7 @@ import pytest
 
 from cfkit import (
     CFN,
+    CHEBYSHEV,
     DistanceParams,
     PainAssessment,
     interpret,
@@ -95,6 +96,23 @@ class TestPainAssessment:
             {"patient_items": list(CASE_ITEMS), "sim_scale0": 0.4, "sim_scale10": 0.7}
         )
         assert params == DistanceParams(p=2, lam=0.5)
+
+    @pytest.mark.parametrize("text,order", [("inf", CHEBYSHEV), ("Chebyshev", CHEBYSHEV), ("3", 3)])
+    def test_from_dict_order_text(self, text, order):
+        # the JSON "p" field reads orders the way the CLI --p flag does
+        _, params = assessment_from_dict(
+            {"patient_items": list(CASE_ITEMS), "sim_scale0": 0.4, "sim_scale10": 0.7,
+             "p": text}
+        )
+        assert params == DistanceParams(p=order, lam=0.5)
+
+    @pytest.mark.parametrize("p", ["2.5", "fast"])
+    def test_from_dict_bad_order(self, p):
+        with pytest.raises(OutOfRangeError, match="order p"):
+            assessment_from_dict(
+                {"patient_items": list(CASE_ITEMS), "sim_scale0": 0.4, "sim_scale10": 0.7,
+                 "p": p}
+            )
 
     def test_from_dict_missing_key(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,64 @@
+"""Byte-level golden snapshot of the CLI's outputs.
+
+Each case pins the sha256 of exact output bytes, so a refactor that moves
+any digit of any output fails here even where the acceptance tolerances
+would still pass.  A deliberate output change updates the digest and says
+so in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from cfkit.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+DEMO_PAIR = ("0.8,0.4,0.32", "0.1,0.9,0.09")
+
+FIGURE_SHA256 = {
+    "fig2.csv": "de6ddd39efbe9df7311ddcf517f78ee6c79e64cf78140a1864ad6c1fddb8f87a",
+    "fig3.csv": "40644ffdbdb815883a1c6853e8cbaffa947f1afdcd6ee7341f366584a6e23ed1",
+    "fig4.csv": "4fdd0a08ae6332f3686b880dda7ce32e1cf3c43870bf4a65523833eefc7a9945",
+    "fig5.csv": "2d59afb2890b1cd07d6cc89fab1243c27e0b42a746fcfbfcb148ae4fc130940c",
+    "fig7.csv": "5389d38433f515d2a83ad8830b91a4ef80f663a16036b1c409a1719394ec7a88",
+    "fig8.csv": "e3ddd7e81ccb9e614144f31c17148b61bfac02fc6bd0e31e7343bd2e3e7762eb",
+}
+
+STDOUT_SHA256 = {
+    "score": (
+        ("score", "--json", "--p", "3", "--lambda", "0.3", "0.8,0.4,0.32"),
+        "22b3a71bbbc6bb2a29319211ca30fb3a3a2a1cadaaf66f6e847b90403cf1e7ce",
+    ),
+    "pain-eval": (
+        ("pain-eval", "--input", str(FIXTURES / "assessment.json")),
+        "1f98166d0ebe72fb0b9f0812c1a54aaf1d24373e11c621a7db0eb709da7f7779",
+    ),
+    "distance-batch": (
+        ("distance", "--measure", "c", "--p", "3", "--lambda", "0.5",
+         "--batch", str(FIXTURES / "pairs.csv")),
+        "c21ae25e16afcdbdc77214f756faed7ffd7dd1e5b4490e696ac3d960804e3231",
+    ),
+    "simulate": (
+        ("simulate", "--pair", *DEMO_PAIR, "--trials", "20", "--seed", "42"),
+        "07bb7c192226262050e45c9cc43e96da0109e108dc3c837552cbb44ced72cd83",
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_export_figures(tmp_path, capsys):
+    assert main(["export-figures", str(tmp_path), "--seed", "42"]) == 0
+    capsys.readouterr()
+    digests = {name: _sha256((tmp_path / name).read_bytes()) for name in FIGURE_SHA256}
+    assert digests == FIGURE_SHA256
+
+
+@pytest.mark.parametrize("case", sorted(STDOUT_SHA256))
+def test_stdout(case, capsysbinary):
+    argv, expected = STDOUT_SHA256[case]
+    assert main(list(argv)) == 0
+    assert _sha256(capsysbinary.readouterr().out) == expected
