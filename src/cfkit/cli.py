@@ -65,6 +65,23 @@ def _write_rows(path, header, rows) -> None:
         figures.write_csv(fh, header, rows)
 
 
+_BATCH_FIELDS = ("u1", "v1", "j1", "u2", "v2", "j2")
+
+
+def _batch_where(row) -> str:
+    """Name the part of a six-field batch row that failed to read."""
+    for name, cell in zip(_BATCH_FIELDS, row):
+        try:
+            float(cell)
+        except ValueError:
+            return f"field {name}"
+    try:
+        CognitiveFuzzyNumber(*(float(x) for x in row[:3]))
+    except ValueError:
+        return "first CFN u1,v1,j1"
+    return "second CFN u2,v2,j2"
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners
 # ---------------------------------------------------------------------------
@@ -90,12 +107,18 @@ def _run_distance(args) -> int:
                     continue
                 try:
                     if len(row) != 6:
-                        raise ValueError(f"expected 6 fields u1,v1,j1,u2,v2,j2, got {len(row)}")
+                        raise ValueError(
+                            f"expected 6 fields {','.join(_BATCH_FIELDS)}, got {len(row)}"
+                        )
                     u1, v1, j1, u2, v2, j2 = (float(x) for x in row)
                     f1 = CognitiveFuzzyNumber(u1, v1, j1)
                     f2 = CognitiveFuzzyNumber(u2, v2, j2)
                 except ValueError as exc:
-                    raise type(exc)(f"{args.batch} line {reader.line_num}: {exc}") from exc
+                    # worked out only on failure, so a good row pays nothing for it
+                    where = f", {_batch_where(row)}" if len(row) == 6 else ""
+                    raise type(exc)(
+                        f"{args.batch} line {reader.line_num}{where}: {exc}"
+                    ) from exc
                 lines.append(f"{measure(f1, f2):.6f}")
         text = "\n".join(lines) + "\n"
     elif args.f1 is not None and args.f2 is not None:
@@ -110,12 +133,7 @@ def _run_distance(args) -> int:
 
 def _run_score(args) -> int:
     if args.sweep:
-        rows = []
-        for lam in np.linspace(0.0, 1.0, 101):
-            for p in range(1, 11):
-                s = score(args.f, DistanceParams(p=p, lam=float(lam))).s
-                rows.append((float(lam), p, s))
-        _write_rows(args.out, ("lambda", "p", "s"), rows)
+        _write_rows(args.out, ("lambda", "p", "s"), figures.score_rows((args.f,)))
         return 0
 
     result = score(args.f, DistanceParams(p=args.p, lam=args.lam))

@@ -92,14 +92,18 @@ def fig4_rows(seed: int = DEFAULT_SEED) -> list[tuple]:
     return study_rows(run_study(config))
 
 
-def fig5_rows() -> list[tuple]:
-    f1, f2 = DEMO_PAIR
+def score_rows(fs) -> list[tuple]:
+    """``(lambda, p, s(f) for f in fs)`` over lambda 0..1 (101 points) x p 1..10."""
     rows = []
     for lam in np.linspace(0.0, 1.0, 101):
         for p in range(1, 11):
             params = DistanceParams(p=p, lam=float(lam))
-            rows.append((float(lam), p, score(f1, params).s, score(f2, params).s))
+            rows.append((float(lam), p) + tuple(score(f, params).s for f in fs))
     return rows
+
+
+def fig5_rows() -> list[tuple]:
+    return score_rows(DEMO_PAIR)
 
 
 def fig7_rows() -> list[tuple]:

@@ -9,12 +9,19 @@ admissible interval to minimize the squared gap between the nurse-side
 score target ``1 - patient_pain`` and the combined-distance score, via a
 dense grid scan refined by ternary search.  Where the optimal ``j`` sits in
 its interval (the confusion ratio) flags low-confidence assessments.
+
+One solver, ``_solve``, serves every entry point: it scans the grid once per
+lambda and refines all lambdas together.  ``solve_programming1`` is its
+one-lambda case, ``sensitivity_sweep`` calls it once per order over the
+whole lambda grid, and ``legacy_comparison_sweep`` scores rows with their
+hesitancy dropped at lambda = 1, which is the hesitancy-blind Minkowski
+score.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,15 +109,7 @@ class PainSolution:
     recommendation: str
 
     def to_dict(self) -> dict:
-        return {
-            "j_opt": self.j_opt,
-            "s_opt": self.s_opt,
-            "nurse_pain": self.nurse_pain,
-            "patient_pain": self.patient_pain,
-            "gap": self.gap,
-            "confusion_ratio": self.confusion_ratio,
-            "recommendation": self.recommendation,
-        }
+        return asdict(self)
 
 
 class Interpretation(NamedTuple):
@@ -118,74 +117,69 @@ class Interpretation(NamedTuple):
     final_pain_score: float
 
 
-def _rows_for_j(u: float, v: float, j_arr: np.ndarray) -> np.ndarray:
+def _rows_for_j(u: float, v: float, j_arr, blind: bool) -> np.ndarray:
     j = np.asarray(j_arr, dtype=np.float64)
-    return np.column_stack([u - j, v - j, j, 1.0 - u - v + j])
+    h = np.zeros_like(j) if blind else 1.0 - u - v + j
+    return np.column_stack([u - j, v - j, j, h])
 
 
-def _combined_score_curve(u, v, params: DistanceParams) -> Callable[[np.ndarray], np.ndarray]:
-    code = order_code(params.p)
-    lam = params.lam
+def _solve(u, v, target, code, lams, grid_points, blind=False):
+    """Minimize ``(target - s(j))**2`` over the admissible j, once per lambda.
 
-    def curve(j_arr):
-        return backends.score_many(_rows_for_j(u, v, j_arr), code, lam)
-
-    return curve
-
-
-def _legacy_score_curve(u, v, p) -> Callable[[np.ndarray], np.ndarray]:
-    code = order_code(p)
-
-    def curve(j_arr):
-        rows = _rows_for_j(u, v, j_arr)
-        shape = rows.shape
-        worst = np.ascontiguousarray(np.broadcast_to(np.array([0.0, 1.0, 0.0, 0.0]), shape))
-        best = np.ascontiguousarray(np.broadcast_to(np.array([1.0, 0.0, 0.0, 0.0]), shape))
-        d_worst = backends.legacy_pairwise(rows, worst, code)
-        d_best = backends.legacy_pairwise(rows, best, code)
-        return d_worst / (d_worst + d_best)
-
-    return curve
-
-
-def _minimize_squared_gap(target, j_lo, j_hi, curve, grid_points):
-    """Grid scan plus ternary refinement of the best bracket.
-
-    Returns ``(j_opt, s_opt)``.  The grid keeps the search robust against
-    non-unimodal score curves; the refinement narrows the winning bracket to
-    REFINE_TOL in j.
+    ``lams`` is a 1-D array of balance values; returns ``(j_opt, s_opt)``
+    arrays with one entry per lambda.  Each lambda's score curve is scanned
+    on the dense grid (one kernel call per lambda), which keeps the search
+    robust against non-unimodal curves.  The ternary refinement of each
+    winning bracket to REFINE_TOL in j then runs for all lambdas at once,
+    one kernel call per step for the cells still live.  ``blind`` zeroes the
+    hesitancy column: with lambda = 1 that is the hesitancy-blind Minkowski
+    score, bit for bit.
     """
     if grid_points < 101:
         raise OutOfRangeError(f"grid_points must be at least 101, got {grid_points}")
+    j_lo, j_hi = joint_bounds(u, v)
     grid = np.linspace(j_lo, j_hi, grid_points)
-    s = curve(grid)
-    obj = (target - s) ** 2
-    k = int(np.argmin(obj))
+    rows = _rows_for_j(u, v, grid, blind)
+    k = np.empty(len(lams), dtype=np.intp)
+    s_opt = np.empty(len(lams))
+    for i, lam in enumerate(lams.tolist()):
+        s = backends.score_many(rows, code, lam)
+        k[i] = np.argmin((target - s) ** 2)
+        s_opt[i] = s[k[i]]
+    j_opt = grid[k]
     if j_hi - j_lo <= 0.0:
-        return float(grid[k]), float(s[k])
+        return j_opt, s_opt
 
-    def evaluate(j):
-        sj = float(curve(np.array([j]))[0])
-        return (target - sj) ** 2, sj
+    def objective(j, lam):
+        s = backends.score_many(_rows_for_j(u, v, j, blind), code, lam)
+        # The refinement compares C pow squares (what Python's float ** gives),
+        # the grid argmin numpy's exact square.  The two differ in about 0.1%
+        # of values, enough to flip a near-tie step, and the published sweep
+        # bytes were produced this way.
+        return np.float_power(target - s, 2), s
 
-    lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, grid_points - 1)])
-    while hi - lo > REFINE_TOL:
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        if evaluate(m1)[0] < evaluate(m2)[0]:
-            hi = m2
-        else:
-            lo = m1
+    lo = grid[np.maximum(k - 1, 0)]
+    hi = grid[np.minimum(k + 1, grid_points - 1)]
+    live = hi - lo > REFINE_TOL
+    while live.any():
+        l, h = lo[live], hi[live]
+        third = (h - l) / 3.0
+        m1, m2 = l + third, h - third
+        obj = objective(np.concatenate([m1, m2]), np.tile(lams[live], 2))[0].reshape(2, -1)
+        left = obj[0] < obj[1]
+        hi[live] = np.where(left, m2, h)
+        lo[live] = np.where(left, l, m1)
+        live = hi - lo > REFINE_TOL
 
-    best_j, best_s = float(grid[k]), float(s[k])
-    best_obj = (target - best_s) ** 2
-    for candidate in (lo, 0.5 * (lo + hi), hi):
-        obj_c, s_c = evaluate(candidate)
-        if obj_c < best_obj:
-            best_j, best_s, best_obj = candidate, s_c, obj_c
-    return best_j, best_s
+    best_obj = np.float_power(target - s_opt, 2)
+    candidates = (lo, 0.5 * (lo + hi), hi)
+    obj, s = objective(np.concatenate(candidates), np.tile(lams, 3))
+    for j_c, obj_c, s_c in zip(candidates, obj.reshape(3, -1), s.reshape(3, -1)):
+        better = obj_c < best_obj
+        j_opt = np.where(better, j_c, j_opt)
+        s_opt = np.where(better, s_c, s_opt)
+        best_obj = np.where(better, obj_c, best_obj)
+    return j_opt, s_opt
 
 
 def _check_pain(patient_pain) -> float:
@@ -231,9 +225,8 @@ def solve_programming1(
     if j_lo > j_hi:
         raise EmptyFeasibleRegionError(f"no admissible joint degree for u={u!r}, v={v!r}")
     target = 1.0 - patient_pain
-    curve = _combined_score_curve(u, v, params)
-    j_opt, s_opt = _minimize_squared_gap(target, j_lo, j_hi, curve, grid_points)
-    return _solution(j_opt, s_opt, patient_pain, j_lo, j_hi, confusion_threshold)
+    j, s = _solve(u, v, target, order_code(params.p), np.array([params.lam]), grid_points)
+    return _solution(j.item(), s.item(), patient_pain, j_lo, j_hi, confusion_threshold)
 
 
 def interpret(
@@ -279,29 +272,29 @@ def sensitivity_sweep(
     The per-row ``gap`` is ``target - s_opt``, identical to the solution's
     nurse-minus-patient gap.
     """
-    patient_pain = _check_pain(patient_pain)
-    target = 1.0 - patient_pain
-    j_lo, j_hi = joint_bounds(u, v)
+    target = 1.0 - _check_pain(patient_pain)
+    lams = np.array([DistanceParams(lam=float(lam)).lam for lam in lambda_grid])
     rows = []
     for p in p_list:
-        for lam in lambda_grid:
-            params = DistanceParams(p=p, lam=float(lam))
-            curve = _combined_score_curve(u, v, params)
-            j_opt, s_opt = _minimize_squared_gap(target, j_lo, j_hi, curve, grid_points)
-            rows.append(SweepRow(p, float(lam), j_opt, s_opt, target - s_opt))
+        j_opt, s_opt = _solve(u, v, target, order_code(p), lams, grid_points)
+        rows.extend(
+            SweepRow(p, lam, j, s, target - s)
+            for lam, j, s in zip(lams.tolist(), j_opt.tolist(), s_opt.tolist())
+        )
     return rows
 
 
 def legacy_comparison_sweep(
     u, v, patient_pain, p_list, grid_points: int = DEFAULT_GRID_POINTS
 ) -> list[LegacySweepRow]:
-    """Re-solve the program with the hesitancy-blind Minkowski score."""
-    patient_pain = _check_pain(patient_pain)
-    target = 1.0 - patient_pain
-    j_lo, j_hi = joint_bounds(u, v)
+    """Re-solve the program with the hesitancy-blind Minkowski score.
+
+    That score is the combined-distance score at lambda = 1 of the rows with
+    their hesitancy dropped.
+    """
+    target = 1.0 - _check_pain(patient_pain)
     rows = []
     for p in p_list:
-        curve = _legacy_score_curve(u, v, p)
-        j_opt, s_opt = _minimize_squared_gap(target, j_lo, j_hi, curve, grid_points)
-        rows.append(LegacySweepRow(p, j_opt, s_opt, target - s_opt))
+        j, s = _solve(u, v, target, order_code(p), np.ones(1), grid_points, blind=True)
+        rows.append(LegacySweepRow(p, j.item(), s.item(), target - s.item()))
     return rows

@@ -17,6 +17,18 @@ def cfns(draw):
     return CFN(u, v, j)
 
 
+@st.composite
+def near_pairs(draw):
+    """A CFN and a second one moved toward another CFN by 1 down to 1e-12 of the way.
+
+    The admissible CFNs form a convex set, so the second one is admissible
+    up to rounding, which construction clamps.
+    """
+    f, g = draw(cfns()), draw(cfns())
+    t = 10.0 ** -draw(st.integers(0, 12))
+    return f, CFN(f.u + t * (g.u - f.u), f.v + t * (g.v - f.v), f.j + t * (g.j - f.j))
+
+
 def random_triples(rng, n):
     """Valid (u, v, j) arrays drawn uniformly."""
     u = rng.random(n)

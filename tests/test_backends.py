@@ -5,7 +5,7 @@ from cfkit import DistanceParams, cf_c, cf_h, cf_im, legacy_minkowski, score
 from cfkit import backends
 from cfkit.distance import component_rows, order_code
 
-from helpers import random_cfns
+from helpers import random_cfns, random_component_rows
 
 
 class TestScalarMatchesBatch:
@@ -44,6 +44,20 @@ class TestScalarMatchesBatch:
         for f in fs:
             expected = params.lam * cf_im(f, fs[0], 3) + (1.0 - params.lam) * cf_h(f, fs[0])
             assert cf_c(f, fs[0], params) == expected
+
+
+class TestLegacyAsBlindScore:
+    @pytest.mark.parametrize("p_code", range(0, 65))
+    def test_score_without_hesitancy_is_legacy_score(self, p_code):
+        # the pain solver's legacy sweep scores through score_many this way
+        near_anchors = [[1e-6, 1.0 - 1e-6, 0.0, 0.0], [1.0 - 1e-7, 0.0, 1e-7, 0.0]]
+        rows = np.vstack([random_component_rows(np.random.default_rng(15), 500), near_anchors])
+        rows[:, 3] = 0.0
+        worst = np.tile([0.0, 1.0, 0.0, 0.0], (len(rows), 1))
+        best = np.tile([1.0, 0.0, 0.0, 0.0], (len(rows), 1))
+        d_w = backends.legacy_pairwise(rows, worst, p_code)
+        d_b = backends.legacy_pairwise(rows, best, p_code)
+        assert np.array_equal(backends.score_many(rows, p_code, 1.0), d_w / (d_w + d_b))
 
 
 class TestSelection:

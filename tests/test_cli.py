@@ -60,11 +60,18 @@ class TestDistanceCommand:
         [
             ("0.8,0.4,0.32,0.1", "ValueError", "line 2: expected 6 fields u1,v1,j1,u2,v2,j2, got 4"),
             ("0.8,abc,0.32,0.1,0.9,0.09", "ValueError",
-             "line 2: could not convert string to float: 'abc'"),
+             "line 2, field v1: could not convert string to float: 'abc'"),
+            ("0.8,0.4,0.32,0.1,0.9,", "ValueError",
+             "line 2, field j2: could not convert string to float: ''"),
             ("0.8,0.4,0.5,0.1,0.9,0.09", "JointBoundViolationError",
-             "line 2: joint degree 0.5 outside admissible interval"),
+             "line 2, first CFN u1,v1,j1: joint degree 0.5 outside admissible interval"),
+            ("0.8,0.4,0.32,0.1,0.9,0.5", "JointBoundViolationError",
+             "line 2, second CFN u2,v2,j2: joint degree 0.5 outside admissible interval"),
+            ("0.8,0.4,0.32,1.4,0.9,0.09", "OutOfRangeError",
+             "line 2, second CFN u2,v2,j2: u must lie in [0, 1], got 1.4"),
         ],
-        ids=["field-count", "non-numeric", "joint-bound"],
+        ids=["field-count", "non-numeric", "non-numeric-second", "joint-bound",
+             "joint-bound-second", "range-second"],
     )
     def test_batch_error_names_line(self, capsys, tmp_path, bad_row, error, message):
         batch = tmp_path / "pairs.csv"

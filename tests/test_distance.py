@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cfkit import (
     CFN,
@@ -16,10 +17,10 @@ from cfkit import (
     legacy_minkowski,
 )
 from cfkit import backends
-from cfkit.distance import order_code
+from cfkit.distance import component_row, order_code
 from cfkit.errors import OutOfRangeError
 
-from helpers import cfns, random_cfns, random_component_rows
+from helpers import cfns, near_pairs, random_cfns, random_component_rows
 
 F1 = CFN(0.8, 0.4, 0.32)
 F2 = CFN(0.1, 0.9, 0.09)
@@ -76,6 +77,28 @@ class TestCfIm:
             for lo, hi in zip(values[1:], values[:-1]):
                 assert lo <= hi + 1e-12
             assert cf_im(f, g, CHEBYSHEV) <= values[-1] + 1e-12
+
+
+ORDERS = st.one_of(st.integers(1, 64), st.just(CHEBYSHEV))
+
+
+class TestHighOrders:
+    def test_close_pair_does_not_underflow(self):
+        # at p=64 the power sum of 1e-6 differences is below the smallest normal float
+        a, b = CFN(0.5, 0.3, 0.1), CFN(0.500001, 0.299999, 0.1)
+        assert cf_im(a, b, 64) >= cf_h(a, b) > 0.0
+        assert legacy_minkowski(a, b, 64) >= cf_h(a, b)
+
+    @given(near_pairs(), ORDERS)
+    def test_distinct_cfns_have_positive_distance(self, pair, p):
+        f, g = pair
+        assume(not np.array_equal(component_row(f), component_row(g)))
+        assert cf_im(f, g, p) > 0.0
+
+    @given(near_pairs(), ORDERS)
+    def test_dominates_hausdorff(self, pair, p):
+        f, g = pair
+        assert cf_im(f, g, p) >= cf_h(f, g) * (1.0 - 1e-12)
 
 
 class TestCfH:

@@ -225,11 +225,30 @@ class TestSensitivitySweep:
         for row in sweep:
             assert row.gap == target - row.s_opt
 
-    def test_single_cell_matches_solver(self):
-        [row] = sensitivity_sweep(CASE_U, CASE_V, CASE_PAIN, p_list=[2], lambda_grid=[0.5])
-        solution = solve_programming1(CASE_U, CASE_V, CASE_PAIN, CASE_PARAMS)
-        assert row.j_opt == solution.j_opt
-        assert row.s_opt == solution.s_opt
+    @pytest.mark.parametrize(
+        "p", [1, 2, 3, 10, 64, CHEBYSHEV], ids=["p1", "p2", "p3", "p10", "p64", "cheb"]
+    )
+    @pytest.mark.parametrize(
+        "u,v,pain",
+        [
+            # optimum on j_hi: every cell's bracket is one grid step
+            (CASE_U, CASE_V, CASE_PAIN),
+            # at p=3 some lambdas end inside the interval, others on j_hi
+            (0.07, 0.86, 0.83),
+            # u = 0: zero-width interval, no refinement
+            (0.0, 0.6, 0.3),
+        ],
+        ids=["case-study", "mixed", "zero-width"],
+    )
+    def test_single_cell_matches_solver(self, u, v, pain, p):
+        # every cell of a multi-lambda sweep equals its own one-cell solve, bit for bit;
+        # lambdas out of order, so cells whose refinement ends early sit among live ones
+        lams = np.linspace(0.0, 1.0, 11)[[9, 0, 10, 3, 8, 5, 1, 7, 2, 6, 4]]
+        rows = sensitivity_sweep(u, v, pain, p_list=[p], lambda_grid=lams)
+        assert len(rows) == len(lams)
+        for row, lam in zip(rows, lams):
+            solution = solve_programming1(u, v, pain, DistanceParams(p=p, lam=float(lam)))
+            assert (row.j_opt, row.s_opt) == (solution.j_opt, solution.s_opt)
 
     def test_gap_nondecreasing_in_p_from_two(self, sweep):
         by_lam = {}

@@ -49,6 +49,13 @@ class TestScore:
         for params in (DistanceParams(p=1, lam=0.5), DistanceParams(p=3, lam=0.0)):
             assert 0.0 <= score(f, params).s <= 1.0
 
+    def test_near_anchor_at_high_order(self):
+        # 1e-6 from the worst anchor: the p=64 power sum underflows unless scaled
+        f = CFN(0.000001, 0.999999, 0.0)
+        params = DistanceParams(p=64, lam=1.0)
+        assert score(f, params).s > 0.0
+        assert compare(f, WORST_ANCHOR, params) == FIRST_BETTER
+
     def test_range_random_grid(self):
         rng = np.random.default_rng(31)
         for f in random_cfns(rng, 500):

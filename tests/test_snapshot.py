@@ -34,6 +34,19 @@ STDOUT_SHA256 = {
         ("pain-eval", "--input", str(FIXTURES / "assessment.json")),
         "1f98166d0ebe72fb0b9f0812c1a54aaf1d24373e11c621a7db0eb709da7f7779",
     ),
+    # A second assessment: Chebyshev order, optimum on the lower joint bound.
+    "pain-eval-cheb": (
+        ("pain-eval", "--input", str(FIXTURES / "assessment_cheb.json")),
+        "18781671c63d8042b4b594e1dfe0fa1a9a95afb9a4b11231d3a3a4f3c729ed46",
+    ),
+    "pain-eval-cheb-sweep": (
+        ("pain-eval", "--sweep", "--input", str(FIXTURES / "assessment_cheb.json")),
+        "ab35f7dc1aeb0f1cd1d118e3a19ffd8cd2d92d4c427c92f6e919a629c741ba99",
+    ),
+    "pain-eval-cheb-legacy-sweep": (
+        ("pain-eval", "--legacy-sweep", "--input", str(FIXTURES / "assessment_cheb.json")),
+        "eb9f7344b1899b12b318c54faa2702a700bf771a7a71c546ab8fc7390eb6edb3",
+    ),
     "distance-batch": (
         ("distance", "--measure", "c", "--p", "3", "--lambda", "0.5",
          "--batch", str(FIXTURES / "pairs.csv")),
