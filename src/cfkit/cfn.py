@@ -19,6 +19,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import JointBoundViolationError, OutOfRangeError
 
 # Inputs violating a bound by at most this much are clamped instead of
@@ -49,6 +51,45 @@ def joint_bounds(u: float, v: float) -> tuple[float, float]:
     hi = min(u, v)
     lo = min(max(0.0, u + v - 1.0), hi)
     return lo, hi
+
+
+def _max(a, b):
+    # Python's max(a, b): a unless b > a.  np.maximum can return -0.0 for
+    # max(0.0, -0.0), and the sign of a zero reaches the printed output.
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    # Python's min(a, b): a unless b < a.
+    return np.where(b < a, b, a)
+
+
+def validate_rows(triples) -> tuple[np.ndarray, np.ndarray]:
+    """Check many raw ``(u, v, j)`` triples at once, as the constructor would.
+
+    ``triples`` is an ``(n, 3)`` float array.  Returns ``(bad, rows)``:
+    ``bad[i]`` is true where ``CognitiveFuzzyNumber(*triples[i])`` raises,
+    and ``rows[i]`` is the ``(u*, v*, j, h)`` component row of the CFN it
+    builds otherwise, bit for bit (rows marked bad hold no meaning).
+
+    This mirrors ``CognitiveFuzzyNumber.__post_init__`` rule for rule: the
+    NaN and ``CLAMP_TOL`` range checks, clamping to [0, 1], the joint
+    bounds, clamping ``j``, then ``u - j``, ``v - j``, ``j`` and
+    ``1.0 - u - v + j`` in that order.  A property test in
+    ``tests/test_cfn.py`` holds the two together.  The mask does not say
+    which rule a row broke, so error messages come from the constructor.
+    """
+    t = np.asarray(triples, dtype=np.float64)
+    u, v, j = t[:, 0], t[:, 1], t[:, 2]
+    bad = np.zeros(len(t), dtype=bool)
+    for x in (u, v, j):
+        bad |= np.isnan(x) | (x < -CLAMP_TOL) | (x > 1.0 + CLAMP_TOL)
+    u, v, j = (_min(1.0, _max(0.0, x)) for x in (u, v, j))
+    hi = _min(u, v)
+    lo = _min(_max(0.0, u + v - 1.0), hi)
+    bad |= (j < lo - CLAMP_TOL) | (j > hi + CLAMP_TOL)
+    j = _min(hi, _max(lo, j))
+    return bad, np.column_stack([u - j, v - j, j, 1.0 - u - v + j])
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,11 @@ Subcommands: distance, score, simulate, pain-eval, sweep, export-figures.
 Plain output prints numbers with six decimals; CSV and JSON carry full
 precision.  Data goes to stdout or --out; errors go to stderr as one JSON
 line; the process exits nonzero on failure.
+
+``distance --batch`` reads its file in blocks of rows, each validated and
+scored with one kernel call per measure, so memory is bounded by the block,
+not the file.  Output is written only after the last block, so a file with
+a bad row writes nothing.
 """
 
 from __future__ import annotations
@@ -13,20 +18,14 @@ import csv
 import json
 import os
 import sys
+from array import array
 from contextlib import nullcontext
 
 import numpy as np
 
-from . import figures
-from .cfn import CognitiveFuzzyNumber
-from .distance import (
-    DistanceParams,
-    cf_c,
-    cf_h,
-    cf_im,
-    legacy_minkowski,
-    parse_order,
-)
+from . import backends, figures
+from .cfn import CognitiveFuzzyNumber, validate_rows
+from .distance import DistanceParams, _combined, component_rows, order_code, parse_order
 from .errors import CfkitError
 from .pain import (
     DEFAULT_CONFUSION_THRESHOLD,
@@ -67,19 +66,82 @@ def _write_rows(path, header, rows) -> None:
 
 _BATCH_FIELDS = ("u1", "v1", "j1", "u2", "v2", "j2")
 
+# Rows read before they are validated and scored, so that memory is bounded
+# by one block and not by the file.
+_BLOCK = 8192
+
 
 def _batch_where(row) -> str:
-    """Name the part of a six-field batch row that failed to read."""
+    """Name the field of a six-field batch row that is not a number."""
     for name, cell in zip(_BATCH_FIELDS, row):
         try:
             float(cell)
         except ValueError:
             return f"field {name}"
-    try:
-        CognitiveFuzzyNumber(*(float(x) for x in row[:3]))
-    except ValueError:
-        return "first CFN u1,v1,j1"
-    return "second CFN u2,v2,j2"
+
+
+def _block_rows(path, values, lines) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a block of parsed batch rows; return its two CFNs' component rows.
+
+    ``values`` holds six floats per row and ``lines`` the file line of each
+    row.  The first invalid row is raised by the constructor itself, so each
+    error message is written in one place.
+    """
+    block = np.frombuffer(values, dtype=np.float64).reshape(-1, 6)
+    bad1, a = validate_rows(block[:, :3])
+    bad2, b = validate_rows(block[:, 3:])
+    bad = bad1 | bad2
+    if bad.any():
+        i = int(bad.argmax())
+        if bad1[i]:
+            where, triple = "first CFN u1,v1,j1", block[i, :3]
+        else:
+            where, triple = "second CFN u2,v2,j2", block[i, 3:]
+        try:
+            CognitiveFuzzyNumber(*triple.tolist())
+        except ValueError as exc:
+            raise type(exc)(f"{path} line {lines[i]}, {where}: {exc}") from exc
+    return a, b
+
+
+def _distance_lines(measure, params, a, b) -> str:
+    """The ``--measure`` distances between component rows ``a`` and ``b``, one line each."""
+    code = order_code(params.p)
+    if measure == "legacy":
+        d = backends.legacy_pairwise(a, b, code)
+    elif measure == "im":
+        d = backends.cfim_pairwise(a, b, code)
+    elif measure == "h":
+        d = backends.cfh_pairwise(a, b)
+    else:
+        d = _combined(a, b, code, params.lam)
+    return "\n".join(map("{:.6f}".format, d.tolist()))
+
+
+def _batch_blocks(path, measure, params):
+    """Distance lines of the batch file ``path``, one string per block of rows."""
+    values, lines = array("d"), array("q")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != 6:
+                    raise ValueError(
+                        f"expected 6 fields {','.join(_BATCH_FIELDS)}, got {len(row)}"
+                    )
+                values.extend([float(x) for x in row])
+            except ValueError as exc:
+                _block_rows(path, values, lines)  # an earlier bad row comes first
+                where = f", {_batch_where(row)}" if len(row) == 6 else ""
+                raise type(exc)(f"{path} line {reader.line_num}{where}: {exc}") from exc
+            lines.append(reader.line_num)
+            if len(lines) == _BLOCK:
+                yield _distance_lines(measure, params, *_block_rows(path, values, lines))
+                values, lines = array("d"), array("q")
+    if lines:
+        yield _distance_lines(measure, params, *_block_rows(path, values, lines))
 
 
 # ---------------------------------------------------------------------------
@@ -88,41 +150,12 @@ def _batch_where(row) -> str:
 
 def _run_distance(args) -> int:
     params = DistanceParams(p=args.p, lam=args.lam)
-
-    def measure(f1, f2):
-        if args.measure == "legacy":
-            return legacy_minkowski(f1, f2, args.p)
-        if args.measure == "im":
-            return cf_im(f1, f2, args.p)
-        if args.measure == "h":
-            return cf_h(f1, f2)
-        return cf_c(f1, f2, params)
-
     if args.batch:
-        lines = []
-        with open(args.batch, newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    if len(row) != 6:
-                        raise ValueError(
-                            f"expected 6 fields {','.join(_BATCH_FIELDS)}, got {len(row)}"
-                        )
-                    u1, v1, j1, u2, v2, j2 = (float(x) for x in row)
-                    f1 = CognitiveFuzzyNumber(u1, v1, j1)
-                    f2 = CognitiveFuzzyNumber(u2, v2, j2)
-                except ValueError as exc:
-                    # worked out only on failure, so a good row pays nothing for it
-                    where = f", {_batch_where(row)}" if len(row) == 6 else ""
-                    raise type(exc)(
-                        f"{args.batch} line {reader.line_num}{where}: {exc}"
-                    ) from exc
-                lines.append(f"{measure(f1, f2):.6f}")
-        text = "\n".join(lines) + "\n"
+        # joined only after the last block, so a failing file writes nothing
+        text = "\n".join(_batch_blocks(args.batch, args.measure, params)) + "\n"
     elif args.f1 is not None and args.f2 is not None:
-        text = f"{measure(args.f1, args.f2):.6f}\n"
+        a, b = component_rows([args.f1]), component_rows([args.f2])
+        text = _distance_lines(args.measure, params, a, b) + "\n"
     else:
         raise ValueError("distance needs two CFN literals or --batch FILE")
 

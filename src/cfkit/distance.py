@@ -111,10 +111,15 @@ def cf_h(f1: CognitiveFuzzyNumber, f2: CognitiveFuzzyNumber) -> float:
     return float(backends.cfh_pairwise(a, b)[0])
 
 
+def _combined(a, b, p_code: int, lam: float) -> np.ndarray:
+    """Row-wise ``lam * cf_im + (1 - lam) * cf_h`` over component rows."""
+    return lam * backends.cfim_pairwise(a, b, p_code) + (1.0 - lam) * backends.cfh_pairwise(a, b)
+
+
 def cf_c(f1: CognitiveFuzzyNumber, f2: CognitiveFuzzyNumber, params: DistanceParams) -> float:
     """Combined distance ``lam * cf_im + (1 - lam) * cf_h``."""
-    lam = params.lam
-    return lam * cf_im(f1, f2, params.p) + (1.0 - lam) * cf_h(f1, f2)
+    a, b = _pair(f1, f2)
+    return float(_combined(a, b, order_code(params.p), params.lam)[0])
 
 
 def interval_hausdorff(a: IntervalForm, b: IntervalForm) -> float:

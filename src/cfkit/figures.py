@@ -17,8 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import backends
 from .cfn import CognitiveFuzzyNumber
-from .distance import DistanceParams
+from .distance import DistanceParams, component_rows, order_code
+from .errors import DegenerateDenominatorError
 from .pain import legacy_comparison_sweep, sensitivity_sweep
 from .perturbation import (
     DEFAULT_SEED,
@@ -27,7 +29,6 @@ from .perturbation import (
     lambda_trend,
     run_study,
 )
-from .score import score
 
 DEMO_PAIR = (
     CognitiveFuzzyNumber(0.8, 0.4, 0.32),
@@ -93,13 +94,29 @@ def fig4_rows(seed: int = DEFAULT_SEED) -> list[tuple]:
 
 
 def score_rows(fs) -> list[tuple]:
-    """``(lambda, p, s(f) for f in fs)`` over lambda 0..1 (101 points) x p 1..10."""
-    rows = []
-    for lam in np.linspace(0.0, 1.0, 101):
-        for p in range(1, 11):
-            params = DistanceParams(p=p, lam=float(lam))
-            rows.append((float(lam), p) + tuple(score(f, params).s for f in fs))
-    return rows
+    """``(lambda, p, s(f) for f in fs)`` over lambda 0..1 (101 points) x p 1..10.
+
+    One kernel call per p scores every (lambda, f) pair, with lambda as a
+    per-row array; each value equals scalar ``score`` bit for bit.
+    """
+    fs = tuple(fs)
+    lams = [DistanceParams(lam=float(lam)).lam for lam in np.linspace(0.0, 1.0, 101)]
+    rows = np.tile(component_rows(fs), (len(lams), 1))
+    lam_col = np.repeat(lams, len(fs))
+    scores = {}
+    for p in range(1, 11):
+        d_worst, d_best = backends.anchor_distances(rows, order_code(p), lam_col)
+        denom = d_worst + d_best
+        degenerate = denom < 1e-12
+        if degenerate.any():
+            i = int(degenerate.argmax())
+            raise DegenerateDenominatorError(
+                f"score normalizer collapsed to {float(denom[i])!r} for {fs[i % len(fs)]}"
+            )
+        scores[p] = (d_worst / denom).reshape(len(lams), len(fs)).tolist()
+    return [
+        (lam, p) + tuple(scores[p][i]) for i, lam in enumerate(lams) for p in range(1, 11)
+    ]
 
 
 def fig5_rows() -> list[tuple]:

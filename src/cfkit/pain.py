@@ -123,9 +123,10 @@ def _rows_for_j(u: float, v: float, j_arr, blind: bool) -> np.ndarray:
     return np.column_stack([u - j, v - j, j, h])
 
 
-def _solve(u, v, target, code, lams, grid_points, blind=False):
+def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     """Minimize ``(target - s(j))**2`` over the admissible j, once per lambda.
 
+    ``[j_lo, j_hi]`` is ``joint_bounds(u, v)``, which also validated u and v.
     ``lams`` is a 1-D array of balance values; returns ``(j_opt, s_opt)``
     arrays with one entry per lambda.  Each lambda's score curve is scanned
     on the dense grid (one kernel call per lambda), which keeps the search
@@ -137,7 +138,6 @@ def _solve(u, v, target, code, lams, grid_points, blind=False):
     """
     if grid_points < 101:
         raise OutOfRangeError(f"grid_points must be at least 101, got {grid_points}")
-    j_lo, j_hi = joint_bounds(u, v)
     grid = np.linspace(j_lo, j_hi, grid_points)
     rows = _rows_for_j(u, v, grid, blind)
     k = np.empty(len(lams), dtype=np.intp)
@@ -225,7 +225,9 @@ def solve_programming1(
     if j_lo > j_hi:
         raise EmptyFeasibleRegionError(f"no admissible joint degree for u={u!r}, v={v!r}")
     target = 1.0 - patient_pain
-    j, s = _solve(u, v, target, order_code(params.p), np.array([params.lam]), grid_points)
+    j, s = _solve(
+        u, v, j_lo, j_hi, target, order_code(params.p), np.array([params.lam]), grid_points
+    )
     return _solution(j.item(), s.item(), patient_pain, j_lo, j_hi, confusion_threshold)
 
 
@@ -273,10 +275,11 @@ def sensitivity_sweep(
     nurse-minus-patient gap.
     """
     target = 1.0 - _check_pain(patient_pain)
+    j_lo, j_hi = joint_bounds(u, v)
     lams = np.array([DistanceParams(lam=float(lam)).lam for lam in lambda_grid])
     rows = []
     for p in p_list:
-        j_opt, s_opt = _solve(u, v, target, order_code(p), lams, grid_points)
+        j_opt, s_opt = _solve(u, v, j_lo, j_hi, target, order_code(p), lams, grid_points)
         rows.extend(
             SweepRow(p, lam, j, s, target - s)
             for lam, j, s in zip(lams.tolist(), j_opt.tolist(), s_opt.tolist())
@@ -293,8 +296,11 @@ def legacy_comparison_sweep(
     their hesitancy dropped.
     """
     target = 1.0 - _check_pain(patient_pain)
+    j_lo, j_hi = joint_bounds(u, v)
     rows = []
     for p in p_list:
-        j, s = _solve(u, v, target, order_code(p), np.ones(1), grid_points, blind=True)
+        j, s = _solve(
+            u, v, j_lo, j_hi, target, order_code(p), np.ones(1), grid_points, blind=True
+        )
         rows.append(LegacySweepRow(p, j.item(), s.item(), target - s.item()))
     return rows

@@ -1,9 +1,12 @@
 """Shared generators for the test suite."""
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
 from cfkit import CFN, joint_bounds
+from cfkit.errors import OutOfRangeError
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -27,6 +30,36 @@ def near_pairs(draw):
     f, g = draw(cfns()), draw(cfns())
     t = 10.0 ** -draw(st.integers(0, 12))
     return f, CFN(f.u + t * (g.u - f.u), f.v + t * (g.v - f.v), f.j + t * (g.j - f.j))
+
+
+# Offsets of zero, within, exactly at, just beyond and well beyond the
+# constructor's clamping tolerance.
+NUDGES = (0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1.5e-9, -1.5e-9, 1e-6, -1e-6)
+
+
+@st.composite
+def raw_triples(draw):
+    """A raw ``(u, v, j)``, admissible or not, crowded around every edge the
+    constructor checks: 0, 1 and the joint bounds (exactly, and nudged within
+    or just beyond the tolerance), plus -0.0 and NaN."""
+
+    def coord(lo, hi):
+        kind = draw(st.sampled_from(("free", "free", "inside", "near", "near", "near", "nan")))
+        if kind == "nan":
+            return math.nan
+        if kind == "near":
+            x, nudge = draw(st.sampled_from((lo, hi, -0.0))), draw(st.sampled_from(NUDGES))
+            return x + nudge if nudge else x  # -0.0 + 0.0 would be 0.0
+        if kind == "inside":
+            return draw(st.floats(lo, hi))
+        return draw(st.floats(-0.01, 1.01))
+
+    u, v = coord(0.0, 1.0), coord(0.0, 1.0)
+    try:
+        lo, hi = joint_bounds(u, v)
+    except OutOfRangeError:
+        lo, hi = 0.0, 1.0
+    return u, v, coord(lo, hi)
 
 
 def random_triples(rng, n):

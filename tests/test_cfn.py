@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from cfkit import CFN, CognitiveFuzzyNumber, IntervalForm, joint_bounds
+from cfkit.cfn import validate_rows
+from cfkit.distance import component_row
 from cfkit.errors import JointBoundViolationError, OutOfRangeError
 
-from helpers import cfns
+from helpers import cfns, raw_triples
 
 
 class TestConstruction:
@@ -47,6 +50,18 @@ class TestConstruction:
             CFN(1 + 1e-8, 0.2, 0.2)
         with pytest.raises(JointBoundViolationError):
             CFN(0.5, 0.6, 0.1 - 1e-7)
+
+    @given(st.lists(raw_triples(), min_size=1, max_size=16))
+    def test_validate_rows_agrees_with_constructor(self, triples):
+        bad, rows = validate_rows(np.array(triples))
+        for triple, is_bad, row in zip(triples, bad, rows):
+            try:
+                f = CFN(*triple)
+            except (OutOfRangeError, JointBoundViolationError):
+                assert is_bad
+            else:
+                assert not is_bad
+                assert row.tobytes() == component_row(f).tobytes()
 
     def test_immutable_and_unhashable(self):
         f = CFN(0.3, 0.2, 0.1)

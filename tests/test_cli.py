@@ -1,9 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from cfkit.cli import main
+from cfkit.cli import _BLOCK, main
+
+from helpers import random_triples
 
 
 def run(capsys, *argv):
@@ -69,9 +72,15 @@ class TestDistanceCommand:
              "line 2, second CFN u2,v2,j2: joint degree 0.5 outside admissible interval"),
             ("0.8,0.4,0.32,1.4,0.9,0.09", "OutOfRangeError",
              "line 2, second CFN u2,v2,j2: u must lie in [0, 1], got 1.4"),
+            # an invalid CFN is reported before a later row that cannot be read
+            ("0.8,0.4,0.32,1.4,0.9,0.09\n0.8,abc,0.32,0.1,0.9,0.09", "OutOfRangeError",
+             "line 2, second CFN u2,v2,j2: u must lie in [0, 1], got 1.4"),
+            ("0.8,0.4,0.5,0.1,0.9,0.09\n0.8,0.4", "JointBoundViolationError",
+             "line 2, first CFN u1,v1,j1: joint degree 0.5 outside admissible interval"),
         ],
         ids=["field-count", "non-numeric", "non-numeric-second", "joint-bound",
-             "joint-bound-second", "range-second"],
+             "joint-bound-second", "range-second", "range-before-non-numeric",
+             "joint-bound-before-field-count"],
     )
     def test_batch_error_names_line(self, capsys, tmp_path, bad_row, error, message):
         batch = tmp_path / "pairs.csv"
@@ -82,6 +91,86 @@ class TestDistanceCommand:
         payload = json.loads(err)
         assert payload["error"] == error
         assert payload["message"].startswith(f"{batch} {message}")
+
+    @pytest.fixture(scope="class")
+    def big_batch(self, tmp_path_factory):
+        """More than one block of rows drawn from 120 distinct pairs, with blank lines.
+
+        A third of the pairs are near-duplicates (the second CFN moved 1e-1
+        down to 1e-12 of the way toward another), which take the underflow
+        path at high p, and a third have both CFNs equal.
+        """
+        rng = np.random.default_rng(11)
+        n = 40
+        f = np.column_stack(random_triples(rng, 3 * n))
+        g = np.column_stack(random_triples(rng, 3 * n))
+        t = 10.0 ** -rng.integers(1, 13, (n, 1))
+        g[:n] = f[:n] + t * (g[:n] - f[:n])
+        g[n:2 * n] = f[n:2 * n]
+        pairs = [
+            (",".join(map(repr, a)), ",".join(map(repr, b)))
+            for a, b in zip(f.tolist(), g.tolist())
+        ]
+        picks = rng.integers(0, len(pairs), _BLOCK + 1000)
+        lines = []
+        for k, i in enumerate(picks.tolist()):
+            if k % 700 == 0:
+                lines.append("")
+            lines.append(",".join(pairs[i]))
+        path = tmp_path_factory.mktemp("big") / "pairs.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path, pairs, picks
+
+    @pytest.mark.parametrize(
+        "measure,p",
+        [(m, p) for m in ("c", "im", "legacy") for p in ("1", "3", "64", "inf")] + [("h", "2")],
+    )
+    def test_batch_matches_single_pairs(self, capsys, big_batch, measure, p):
+        path, pairs, picks = big_batch
+        options = ["distance", "--measure", measure, "--p", p, "--lambda", "0.3"]
+        single = [run(capsys, *options, *pair)[1] for pair in pairs]
+        code, out, _ = run(capsys, *options, "--batch", str(path))
+        assert code == 0
+        assert out.splitlines(keepends=True) == [single[i] for i in picks.tolist()]
+
+    @pytest.mark.parametrize(
+        "bad_row,error,message",
+        [
+            ("0.8,0.4,0.32,0.1,x,0.09", "ValueError",
+             "field v2: could not convert string to float: 'x'"),
+            ("0.8,0.4,0.32,1.4,0.9,0.09", "OutOfRangeError",
+             "second CFN u2,v2,j2: u must lie in [0, 1], got 1.4"),
+        ],
+        ids=["non-numeric", "range"],
+    )
+    def test_batch_error_after_first_block(self, capsys, tmp_path, bad_row, error, message):
+        batch = tmp_path / "pairs.csv"
+        good = "0.3,0.2,0.1,1,0,0\n"
+        batch.write_text(good * 5000 + "\n" + good * 4000 + f"{bad_row}\n" + good * 10)
+        code, out, err = run(capsys, "distance", "--measure", "c", "--batch", str(batch))
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == error
+        assert payload["message"].startswith(f"{batch} line 9002, {message}")
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_batch_without_rows(self, capsys, tmp_path, text):
+        batch = tmp_path / "pairs.csv"
+        batch.write_text(text)
+        code, out, _ = run(capsys, "distance", "--measure", "c", "--batch", str(batch))
+        assert code == 0
+        assert out == "\n"
+
+    def test_batch_failure_writes_no_out(self, capsys, tmp_path):
+        batch, out_file = tmp_path / "pairs.csv", tmp_path / "out.txt"
+        batch.write_text("0.3,0.2,0.1,1,0,0\n" * (_BLOCK + 1) + "0.3,0.2,0.1,1,0,2\n")
+        code, _, err = run(
+            capsys, "distance", "--measure", "c", "--batch", str(batch), "--out", str(out_file)
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "OutOfRangeError"
+        assert not out_file.exists()
 
     def test_missing_operands(self, capsys):
         code, _, err = run(capsys, "distance", "--measure", "h")

@@ -250,6 +250,10 @@ class TestSensitivitySweep:
             solution = solve_programming1(u, v, pain, DistanceParams(p=p, lam=float(lam)))
             assert (row.j_opt, row.s_opt) == (solution.j_opt, solution.s_opt)
 
+    def test_validates_u_v_without_orders(self):
+        with pytest.raises(OutOfRangeError):
+            sensitivity_sweep(1.5, 0.2, 0.3, p_list=[], lambda_grid=[0.5])
+
     def test_gap_nondecreasing_in_p_from_two(self, sweep):
         by_lam = {}
         for row in sweep:
@@ -280,3 +284,7 @@ class TestLegacyComparison:
     def test_single_order_has_zero_spread(self):
         [row] = legacy_comparison_sweep(CASE_U, CASE_V, CASE_PAIN, p_list=[3])
         assert row.gap - row.gap == 0.0
+
+    def test_validates_u_v_without_orders(self):
+        with pytest.raises(OutOfRangeError):
+            legacy_comparison_sweep(1.5, 0.2, 0.3, p_list=[])

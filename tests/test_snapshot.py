@@ -52,6 +52,20 @@ STDOUT_SHA256 = {
          "--batch", str(FIXTURES / "pairs.csv")),
         "c21ae25e16afcdbdc77214f756faed7ffd7dd1e5b4490e696ac3d960804e3231",
     ),
+    "distance-batch-im-p64": (
+        ("distance", "--measure", "im", "--p", "64",
+         "--batch", str(FIXTURES / "pairs.csv")),
+        "e4430b139da50ddfa5dc1306a9fb3fa18600453479b2b5605d633392b2a82ea7",
+    ),
+    "distance-batch-legacy-inf": (
+        ("distance", "--measure", "legacy", "--p", "inf",
+         "--batch", str(FIXTURES / "pairs.csv")),
+        "242f07dcc8861acaa3d9a0628718fcd1a296aa260c0c032bc5d6d85bad6b66dc",
+    ),
+    "distance-batch-h": (
+        ("distance", "--measure", "h", "--batch", str(FIXTURES / "pairs.csv")),
+        "242f07dcc8861acaa3d9a0628718fcd1a296aa260c0c032bc5d6d85bad6b66dc",
+    ),
     "simulate": (
         ("simulate", "--pair", *DEMO_PAIR, "--trials", "20", "--seed", "42"),
         "07bb7c192226262050e45c9cc43e96da0109e108dc3c837552cbb44ced72cd83",
