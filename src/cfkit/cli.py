@@ -27,15 +27,8 @@ from . import backends, figures
 from .cfn import CognitiveFuzzyNumber, validate_rows
 from .distance import DistanceParams, _combined, component_rows, order_code, parse_order
 from .errors import CfkitError
-from .pain import (
-    DEFAULT_CONFUSION_THRESHOLD,
-    assessment_from_dict,
-    interpret,
-    legacy_comparison_sweep,
-    sensitivity_sweep,
-    solve_programming1,
-)
-from .perturbation import DEFAULT_SEED, PerturbationConfig, lambda_trend, run_study
+from .pain import DEFAULT_CONFUSION_THRESHOLD, assessment_from_dict, interpret, solve_programming1
+from .perturbation import DEFAULT_SEED, PerturbationConfig, run_study
 from .score import score
 
 SEED_ENV = "CFKIT_SEED"
@@ -123,23 +116,28 @@ def _batch_blocks(path, measure, params):
     values, lines = array("d"), array("q")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != 6:
-                    raise ValueError(
-                        f"expected 6 fields {','.join(_BATCH_FIELDS)}, got {len(row)}"
-                    )
-                values.extend([float(x) for x in row])
-            except ValueError as exc:
-                _block_rows(path, values, lines)  # an earlier bad row comes first
-                where = f", {_batch_where(row)}" if len(row) == 6 else ""
-                raise type(exc)(f"{path} line {reader.line_num}{where}: {exc}") from exc
-            lines.append(reader.line_num)
-            if len(lines) == _BLOCK:
-                yield _distance_lines(measure, params, *_block_rows(path, values, lines))
-                values, lines = array("d"), array("q")
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) != 6:
+                        raise ValueError(
+                            f"expected 6 fields {','.join(_BATCH_FIELDS)}, got {len(row)}"
+                        )
+                    values.extend([float(x) for x in row])
+                except ValueError as exc:
+                    _block_rows(path, values, lines)  # an earlier bad row comes first
+                    where = f", {_batch_where(row)}" if len(row) == 6 else ""
+                    raise type(exc)(f"{path} line {reader.line_num}{where}: {exc}") from exc
+                lines.append(reader.line_num)
+                if len(lines) == _BLOCK:
+                    yield _distance_lines(measure, params, *_block_rows(path, values, lines))
+                    values, lines = array("d"), array("q")
+        except csv.Error as exc:
+            # a line the reader cannot split, such as a field over csv.field_size_limit()
+            _block_rows(path, values, lines)
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     if lines:
         yield _distance_lines(measure, params, *_block_rows(path, values, lines))
 
@@ -211,19 +209,11 @@ def _run_pain_eval(args) -> int:
         params = DistanceParams(p=2, lam=0.5)
 
     if args.sweep:
-        rows = [
-            ("cfc",) + tuple(row)
-            for row in sensitivity_sweep(
-                u, v, patient_pain, p_list=range(1, 11), lambda_grid=np.linspace(0.0, 1.0, 21)
-            )
-        ]
+        rows = figures.pain_sweep_rows(u, v, patient_pain)
         _write_rows(args.out, figures.PAIN_SWEEP_HEADER, rows)
         return 0
     if args.legacy_sweep:
-        rows = [
-            ("legacy", row.p, None, row.j_opt, row.s_opt, row.gap)
-            for row in legacy_comparison_sweep(u, v, patient_pain, p_list=range(1, 11))
-        ]
+        rows = figures.legacy_sweep_rows(u, v, patient_pain)
         _write_rows(args.out, figures.PAIN_SWEEP_HEADER, rows)
         return 0
 
@@ -241,10 +231,7 @@ def _run_pain_eval(args) -> int:
 
 def _run_sweep(args) -> int:
     grid = np.linspace(0.0, 1.0, args.lambda_points)
-    rows = []
-    for p in args.p if args.p else (1,):
-        for trend in lambda_trend((args.f1, args.f2), p, grid):
-            rows.append((p,) + tuple(trend))
+    rows = figures.trend_rows((args.f1, args.f2), args.p if args.p else (1,), grid)
     _write_rows(args.out, ("p", "lambda", "d_m", "d_h", "d_c"), rows)
     return 0
 

@@ -50,21 +50,15 @@ STUDY_HEADER = (
 PAIN_SWEEP_HEADER = ("mode", "p", "lambda", "j_opt", "s_opt", "gap")
 
 
-def csv_cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return "" if x is None else str(x)
-
-
 def study_rows(result: StudyResult) -> list[tuple]:
     """Flatten a perturbation study into (trial, p, lambda) CSV rows."""
-    rows = []
-    for record in result.records:
-        for p in result.config.p_values:
-            for lam in result.config.lambda_values:
-                cell = record.cells[(p, lam)]
-                rows.append((record.index, record.epsilon, p, lam) + tuple(cell))
-    return rows
+    keys = [(p, lam) for p in result.config.p_values for lam in result.config.lambda_values]
+    cells = np.stack([result.columns[key] for key in keys], axis=1).tolist()
+    return [
+        (i, e, *key, *cell)
+        for i, (e, row) in enumerate(zip(result.epsilons.tolist(), cells))
+        for key, cell in zip(keys, row)
+    ]
 
 
 def fig2_rows(seed: int = DEFAULT_SEED) -> list[tuple]:
@@ -74,12 +68,13 @@ def fig2_rows(seed: int = DEFAULT_SEED) -> list[tuple]:
     return study_rows(run_study(config))
 
 
+def trend_rows(pair, p_values, grid) -> list[tuple]:
+    """``(p, lambda, d_m, d_h, d_c)`` of ``pair`` for each p over the lambda grid."""
+    return [(p,) + tuple(trend) for p in p_values for trend in lambda_trend(pair, p, grid)]
+
+
 def fig3_rows() -> list[tuple]:
-    rows = []
-    for p in (1, 2, 3):
-        for trend in lambda_trend(DEMO_PAIR, p, np.linspace(0.0, 1.0, 101)):
-            rows.append((p,) + tuple(trend))
-    return rows
+    return trend_rows(DEMO_PAIR, (1, 2, 3), np.linspace(0.0, 1.0, 101))
 
 
 def fig4_rows(seed: int = DEFAULT_SEED) -> list[tuple]:
@@ -123,30 +118,33 @@ def fig5_rows() -> list[tuple]:
     return score_rows(DEMO_PAIR)
 
 
-def fig7_rows() -> list[tuple]:
+def pain_sweep_rows(u, v, pain) -> list[tuple]:
+    """``PAIN_SWEEP_HEADER`` rows of the solver over p 1..10 x lambda 0..1 (21 points)."""
     rows = sensitivity_sweep(
-        DEMO_SIM_SCALE0,
-        DEMO_SIM_SCALE10,
-        DEMO_PATIENT_PAIN,
-        p_list=range(1, 11),
-        lambda_grid=np.linspace(0.0, 1.0, 21),
+        u, v, pain, p_list=range(1, 11), lambda_grid=np.linspace(0.0, 1.0, 21)
     )
     return [("cfc",) + tuple(row) for row in rows]
 
 
-def fig8_rows() -> list[tuple]:
-    rows = legacy_comparison_sweep(
-        DEMO_SIM_SCALE0, DEMO_SIM_SCALE10, DEMO_PATIENT_PAIN, p_list=range(1, 11)
-    )
+def legacy_sweep_rows(u, v, pain) -> list[tuple]:
+    """``PAIN_SWEEP_HEADER`` rows of the hesitancy-blind solver over p 1..10."""
+    rows = legacy_comparison_sweep(u, v, pain, p_list=range(1, 11))
     return [("legacy", row.p, None, row.j_opt, row.s_opt, row.gap) for row in rows]
+
+
+def fig7_rows() -> list[tuple]:
+    return pain_sweep_rows(DEMO_SIM_SCALE0, DEMO_SIM_SCALE10, DEMO_PATIENT_PAIN)
+
+
+def fig8_rows() -> list[tuple]:
+    return legacy_sweep_rows(DEMO_SIM_SCALE0, DEMO_SIM_SCALE10, DEMO_PATIENT_PAIN)
 
 
 def write_csv(fh, header, rows) -> None:
     """Write a header and rows as CSV to the open text file ``fh``."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([csv_cell(x) for x in row])
+    writer.writerows(rows)
 
 
 def export_figure_datasets(out_dir, seed: int = DEFAULT_SEED) -> list[Path]:

@@ -59,6 +59,13 @@ def normalize_patient_score(items) -> float:
     return sum(items) / float(ITEM_COUNT * ITEM_MAX)
 
 
+def _check_unit(value, name: str) -> float:
+    x = float(value)
+    if not 0.0 <= x <= 1.0:
+        raise OutOfRangeError(f"{name} must lie in [0, 1], got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class PainAssessment:
     """Seven questionnaire items plus the nurse's two face similarities."""
@@ -71,10 +78,7 @@ class PainAssessment:
         object.__setattr__(self, "patient_items", tuple(self.patient_items))
         normalize_patient_score(self.patient_items)
         for name in ("sim_to_scale0", "sim_to_scale10"):
-            x = float(getattr(self, name))
-            if not 0.0 <= x <= 1.0:
-                raise OutOfRangeError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
-            object.__setattr__(self, name, x)
+            object.__setattr__(self, name, _check_unit(getattr(self, name), name))
 
     @property
     def patient_pain(self) -> float:
@@ -136,8 +140,6 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     hesitancy column: with lambda = 1 that is the hesitancy-blind Minkowski
     score, bit for bit.
     """
-    if grid_points < 101:
-        raise OutOfRangeError(f"grid_points must be at least 101, got {grid_points}")
     grid = np.linspace(j_lo, j_hi, grid_points)
     rows = _rows_for_j(u, v, grid, blind)
     k = np.empty(len(lams), dtype=np.intp)
@@ -182,11 +184,9 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     return j_opt, s_opt
 
 
-def _check_pain(patient_pain) -> float:
-    x = float(patient_pain)
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRangeError(f"patient pain must lie in [0, 1], got {patient_pain!r}")
-    return x
+def _check_grid(grid_points) -> None:
+    if grid_points < 101:
+        raise OutOfRangeError(f"grid_points must be at least 101, got {grid_points}")
 
 
 def _solution(j_opt, s_opt, patient_pain, j_lo, j_hi, confusion_threshold) -> PainSolution:
@@ -220,7 +220,9 @@ def solve_programming1(
     The target is formed internally from the patient-side pain so the two
     scores sit on the same side of the scale.
     """
-    patient_pain = _check_pain(patient_pain)
+    _check_grid(grid_points)
+    confusion_threshold = _check_unit(confusion_threshold, "threshold")
+    patient_pain = _check_unit(patient_pain, "patient pain")
     j_lo, j_hi = joint_bounds(u, v)
     if j_lo > j_hi:
         raise EmptyFeasibleRegionError(f"no admissible joint degree for u={u!r}, v={v!r}")
@@ -240,9 +242,7 @@ def interpret(
     High confusion suggests a second assessment; the final score is the
     larger of the nurse and patient scores, so concealment never lowers it.
     """
-    threshold = float(confusion_threshold)
-    if not 0.0 <= threshold <= 1.0:
-        raise OutOfRangeError(f"threshold must lie in [0, 1], got {confusion_threshold!r}")
+    threshold = _check_unit(confusion_threshold, "threshold")
     recommendation = (
         RECOMMEND_SECOND_NURSE
         if solution.confusion_ratio >= threshold
@@ -274,7 +274,8 @@ def sensitivity_sweep(
     The per-row ``gap`` is ``target - s_opt``, identical to the solution's
     nurse-minus-patient gap.
     """
-    target = 1.0 - _check_pain(patient_pain)
+    _check_grid(grid_points)
+    target = 1.0 - _check_unit(patient_pain, "patient pain")
     j_lo, j_hi = joint_bounds(u, v)
     lams = np.array([DistanceParams(lam=float(lam)).lam for lam in lambda_grid])
     rows = []
@@ -295,7 +296,8 @@ def legacy_comparison_sweep(
     That score is the combined-distance score at lambda = 1 of the rows with
     their hesitancy dropped.
     """
-    target = 1.0 - _check_pain(patient_pain)
+    _check_grid(grid_points)
+    target = 1.0 - _check_unit(patient_pain, "patient pain")
     j_lo, j_hi = joint_bounds(u, v)
     rows = []
     for p in p_list:

@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import backends
-from .cfn import CognitiveFuzzyNumber
-from .distance import component_row, component_rows, order_code
+from .cfn import CognitiveFuzzyNumber, _max, _min, validate_rows
+from .distance import DistanceParams, component_row, order_code
 from .errors import EmptyRangeError, OutOfEpsilonRangeError, OutOfRangeError
 
 DEFAULT_SEED = 42
@@ -69,10 +69,9 @@ class PerturbationConfig:
         object.__setattr__(self, "p_values", tuple(self.p_values))
         if not self.lambda_values:
             raise OutOfRangeError("lambda_values must not be empty")
-        for lam in self.lambda_values:
-            if not 0.0 <= float(lam) <= 1.0:
-                raise OutOfRangeError(f"lambda must lie in [0, 1], got {lam!r}")
-        object.__setattr__(self, "lambda_values", tuple(float(x) for x in self.lambda_values))
+        object.__setattr__(
+            self, "lambda_values", tuple(DistanceParams(lam=x).lam for x in self.lambda_values)
+        )
 
 
 class TrialDistances(NamedTuple):
@@ -104,11 +103,28 @@ class CellSummary:
     n_m_ge_c_ge_h: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyResult:
+    """A study held as arrays: one draw per trial and one column block per cell.
+
+    ``epsilons[i]`` is the draw of trial ``i``.  ``columns[(p, lam)]`` is a
+    ``(trials, 6)`` array whose columns follow the ``TrialDistances`` fields.
+    """
+
     config: PerturbationConfig
-    records: list[TrialRecord]
+    epsilons: np.ndarray
+    columns: dict[tuple, np.ndarray]
     summary: dict[tuple, CellSummary]
+
+    @property
+    def records(self) -> list[TrialRecord]:
+        """One ``TrialRecord`` per trial, built from the columns on each access."""
+        keys = list(self.columns)
+        cells = np.stack([self.columns[key] for key in keys], axis=1).tolist()
+        return [
+            TrialRecord(i, e, {key: TrialDistances(*c) for key, c in zip(keys, row)})
+            for i, (e, row) in enumerate(zip(self.epsilons.tolist(), cells))
+        ]
 
 
 def _draw_epsilons(seed: int, trials: int, lo: float, hi: float) -> np.ndarray:
@@ -120,36 +136,43 @@ def _draw_epsilons(seed: int, trials: int, lo: float, hi: float) -> np.ndarray:
 
 
 def run_study(config: PerturbationConfig) -> StudyResult:
-    """Run the perturbation study described by ``config``."""
+    """Run the perturbation study described by ``config``.
+
+    Every trial's perturbed CFN is built and checked at once by
+    ``validate_rows``, bit for bit as ``perturb`` builds it, and scored
+    against the second CFN by broadcasting its one component row.
+    """
     f1, f2 = config.base_pair
     lo, hi = epsilon_bounds(f1)
     eps = _draw_epsilons(config.seed, config.trials, lo, hi)
 
-    perturbed = component_rows(perturb(f1, e) for e in eps)
-    other = np.ascontiguousarray(np.broadcast_to(component_row(f2), perturbed.shape))
+    e = _min(hi, _max(lo, eps))
+    bad, perturbed = validate_rows(np.column_stack([f1.u + e, f1.v - e, np.full(len(e), f1.j)]))
+    if bad.any():
+        perturb(f1, eps[int(bad.argmax())])  # raises, with the constructor's message
 
     base1 = component_row(f1).reshape(1, 4)
     base2 = component_row(f2).reshape(1, 4)
 
-    d_h = backends.cfh_pairwise(perturbed, other)
+    d_h = backends.cfh_pairwise(perturbed, base2)
     d_h0 = float(backends.cfh_pairwise(base1, base2)[0])
     delta_h = np.abs(d_h - d_h0)
 
     d_m, d_m0, delta_m = {}, {}, {}
     for p in config.p_values:
         code = order_code(p)
-        d_m[p] = backends.cfim_pairwise(perturbed, other, code)
+        d_m[p] = backends.cfim_pairwise(perturbed, base2, code)
         d_m0[p] = float(backends.cfim_pairwise(base1, base2, code)[0])
         delta_m[p] = np.abs(d_m[p] - d_m0[p])
 
-    cells_by_key = {}
+    columns = {}
     summary = {}
     for p in config.p_values:
         for lam in config.lambda_values:
             d_c = lam * d_m[p] + (1.0 - lam) * d_h
             d_c0 = lam * d_m0[p] + (1.0 - lam) * d_h0
             delta_c = np.abs(d_c - d_c0)
-            cells_by_key[(p, lam)] = (d_c, delta_c)
+            columns[(p, lam)] = np.column_stack([d_m[p], d_h, d_c, delta_m[p], delta_h, delta_c])
             m_ge_h = delta_m[p] >= delta_h
             summary[(p, lam)] = CellSummary(
                 mean_delta_m=float(delta_m[p].mean()),
@@ -164,23 +187,7 @@ def run_study(config: PerturbationConfig) -> StudyResult:
                 ),
             )
 
-    records = []
-    for i in range(config.trials):
-        cells = {}
-        for p in config.p_values:
-            for lam in config.lambda_values:
-                d_c, delta_c = cells_by_key[(p, lam)]
-                cells[(p, lam)] = TrialDistances(
-                    d_m=float(d_m[p][i]),
-                    d_h=float(d_h[i]),
-                    d_c=float(d_c[i]),
-                    delta_d_m=float(delta_m[p][i]),
-                    delta_d_h=float(delta_h[i]),
-                    delta_d_c=float(delta_c[i]),
-                )
-        records.append(TrialRecord(index=i, epsilon=float(eps[i]), cells=cells))
-
-    return StudyResult(config=config, records=records, summary=summary)
+    return StudyResult(config=config, epsilons=eps, columns=columns, summary=summary)
 
 
 class TrendRow(NamedTuple):
@@ -203,8 +210,6 @@ def lambda_trend(pair, p, lambda_grid) -> list[TrendRow]:
     d_h = float(backends.cfh_pairwise(a, b)[0])
     rows = []
     for lam in lambda_grid:
-        lam = float(lam)
-        if not 0.0 <= lam <= 1.0:
-            raise OutOfRangeError(f"lambda must lie in [0, 1], got {lam!r}")
+        lam = DistanceParams(lam=float(lam)).lam
         rows.append(TrendRow(lam, d_m, d_h, lam * d_m + (1.0 - lam) * d_h))
     return rows

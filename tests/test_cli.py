@@ -77,10 +77,15 @@ class TestDistanceCommand:
              "line 2, second CFN u2,v2,j2: u must lie in [0, 1], got 1.4"),
             ("0.8,0.4,0.5,0.1,0.9,0.09\n0.8,0.4", "JointBoundViolationError",
              "line 2, first CFN u1,v1,j1: joint degree 0.5 outside admissible interval"),
+            ("1" * (csv.field_size_limit() + 1), "ValueError",
+             f"line 2: field larger than field limit ({csv.field_size_limit()})"),
+            ("0.8,0.4,0.32,1.4,0.9,0.09\n" + "1" * (csv.field_size_limit() + 1),
+             "OutOfRangeError",
+             "line 2, second CFN u2,v2,j2: u must lie in [0, 1], got 1.4"),
         ],
         ids=["field-count", "non-numeric", "non-numeric-second", "joint-bound",
              "joint-bound-second", "range-second", "range-before-non-numeric",
-             "joint-bound-before-field-count"],
+             "joint-bound-before-field-count", "field-limit", "range-before-field-limit"],
     )
     def test_batch_error_names_line(self, capsys, tmp_path, bad_row, error, message):
         batch = tmp_path / "pairs.csv"

@@ -181,6 +181,13 @@ class TestSolver:
         with pytest.raises(OutOfRangeError):
             solve_programming1(CASE_U, CASE_V, CASE_PAIN, CASE_PARAMS, grid_points=50)
 
+    @pytest.mark.parametrize("threshold", [1.5, float("nan")])
+    def test_threshold_validation(self, threshold):
+        with pytest.raises(OutOfRangeError, match="threshold must lie in"):
+            solve_programming1(
+                CASE_U, CASE_V, CASE_PAIN, CASE_PARAMS, confusion_threshold=threshold
+            )
+
 
 class TestInterpret:
     def test_case_study_flags_second_nurse(self):
@@ -254,6 +261,10 @@ class TestSensitivitySweep:
         with pytest.raises(OutOfRangeError):
             sensitivity_sweep(1.5, 0.2, 0.3, p_list=[], lambda_grid=[0.5])
 
+    def test_validates_grid_without_orders(self):
+        with pytest.raises(OutOfRangeError, match="grid_points"):
+            sensitivity_sweep(0.4, 0.7, 0.3, p_list=[], lambda_grid=[0.5], grid_points=5)
+
     def test_gap_nondecreasing_in_p_from_two(self, sweep):
         by_lam = {}
         for row in sweep:
@@ -288,3 +299,7 @@ class TestLegacyComparison:
     def test_validates_u_v_without_orders(self):
         with pytest.raises(OutOfRangeError):
             legacy_comparison_sweep(1.5, 0.2, 0.3, p_list=[])
+
+    def test_validates_grid_without_orders(self):
+        with pytest.raises(OutOfRangeError, match="grid_points"):
+            legacy_comparison_sweep(0.4, 0.7, 0.3, p_list=[], grid_points=5)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cfkit import (
     CFN,
+    CHEBYSHEV,
     PerturbationConfig,
     cf_h,
     cf_im,
@@ -89,19 +90,38 @@ class TestRunStudy:
             assert lo <= record.epsilon <= hi
 
     def test_single_trial_matches_direct_recomputation(self):
-        config = PerturbationConfig(base_pair=PAIR, trials=1, seed=7)
-        [record] = run_study(config).records
-        shifted = perturb(F1, record.epsilon)
-        for p in config.p_values:
-            for lam in config.lambda_values:
-                cell = record.cells[(p, lam)]
-                d_m = cf_im(shifted, F2, p)
+        cases = [(F1, 1, (1, 2, 3))] + [
+            # every trial of edge pairs: on the lower and the upper joint bound,
+            # on u + v = 1, at both anchors, and a zero-width epsilon range
+            (f1, 50, (1, 3, 64, CHEBYSHEV))
+            for f1 in (
+                CFN(0.7, 0.5, 0.2), CFN(0.6, 0.3, 0.3), CFN(0.3, 0.7, 0.1),
+                CFN(1.0, 0.0, 0.0), CFN(0.0, 1.0, 0.0), CFN(0.5, 0.5, 0.5),
+            )
+        ]
+        for f1, trials, p_values in cases:
+            config = PerturbationConfig(
+                base_pair=(f1, F2), trials=trials, seed=7, p_values=p_values
+            )
+            result = run_study(config)
+            records = result.records
+            assert [r.epsilon for r in records] == result.epsilons.tolist()
+            d_h0 = cf_h(f1, F2)
+            for record in records:
+                shifted = perturb(f1, record.epsilon)
                 d_h = cf_h(shifted, F2)
-                assert cell.d_m == d_m
-                assert cell.d_h == d_h
-                assert cell.d_c == lam * d_m + (1.0 - lam) * d_h
-                assert cell.delta_d_m == abs(d_m - cf_im(F1, F2, p))
-                assert cell.delta_d_h == abs(d_h - cf_h(F1, F2))
+                for p in config.p_values:
+                    d_m = cf_im(shifted, F2, p)
+                    d_m0 = cf_im(f1, F2, p)
+                    for lam in config.lambda_values:
+                        d_c = lam * d_m + (1.0 - lam) * d_h
+                        d_c0 = lam * d_m0 + (1.0 - lam) * d_h0
+                        expected = (
+                            d_m, d_h, d_c, abs(d_m - d_m0), abs(d_h - d_h0), abs(d_c - d_c0)
+                        )
+                        column = result.columns[(p, lam)][record.index]
+                        assert column.tobytes() == np.array(expected).tobytes()
+                        assert record.cells[(p, lam)] == tuple(column.tolist())
 
     def test_reproducible(self, study):
         again = run_study(PerturbationConfig(base_pair=PAIR, trials=100, seed=1234))

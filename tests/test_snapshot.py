@@ -15,6 +15,7 @@ from cfkit.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEMO_PAIR = ("0.8,0.4,0.32", "0.1,0.9,0.09")
+EDGE_PAIR = ("0.7,0.5,0.2", "0.3,0.6,0.3")
 
 FIGURE_SHA256 = {
     "fig2.csv": "de6ddd39efbe9df7311ddcf517f78ee6c79e64cf78140a1864ad6c1fddb8f87a",
@@ -69,6 +70,16 @@ STDOUT_SHA256 = {
     "simulate": (
         ("simulate", "--pair", *DEMO_PAIR, "--trials", "20", "--seed", "42"),
         "07bb7c192226262050e45c9cc43e96da0109e108dc3c837552cbb44ced72cd83",
+    ),
+    # An edge pair: the first CFN on its lower joint bound, the second on its upper.
+    "simulate-edge-inf-p64": (
+        ("simulate", "--pair", *EDGE_PAIR, "--trials", "20", "--seed", "42",
+         "--p", "inf", "--p", "64"),
+        "fc5426889cc030442a366c2fb92aedb4e16c3d1ed5e6e4b583cc459dd1185acf",
+    ),
+    "sweep-edge-p1-inf": (
+        ("sweep", "--p", "1", "--p", "inf", *EDGE_PAIR),
+        "215377e7c17eb822f1b8d458ca2f981f70f6b6e2e54bad420867473941fa07e0",
     ),
 }
 
