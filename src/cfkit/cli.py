@@ -191,7 +191,8 @@ def _run_simulate(args) -> int:
         lambda_values=tuple(args.lam) if args.lam else (0.0, 0.25, 0.5, 0.75, 1.0),
     )
     result = run_study(config)
-    _write_rows(args.out, figures.STUDY_HEADER, figures.study_rows(result))
+    with _open_out(args.out) as fh:
+        figures.write_study(fh, result)
     return 0
 
 

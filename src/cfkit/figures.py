@@ -49,23 +49,16 @@ STUDY_HEADER = (
 
 PAIN_SWEEP_HEADER = ("mode", "p", "lambda", "j_opt", "s_opt", "gap")
 
-
-def study_rows(result: StudyResult) -> list[tuple]:
-    """Flatten a perturbation study into (trial, p, lambda) CSV rows."""
-    keys = [(p, lam) for p in result.config.p_values for lam in result.config.lambda_values]
-    cells = np.stack([result.columns[key] for key in keys], axis=1).tolist()
-    return [
-        (i, e, *key, *cell)
-        for i, (e, row) in enumerate(zip(result.epsilons.tolist(), cells))
-        for key, cell in zip(keys, row)
-    ]
+_BLOCK_ROWS = 4096
 
 
-def fig2_rows(seed: int = DEFAULT_SEED) -> list[tuple]:
+def demo_study(seed: int, lambda_values) -> StudyResult:
+    """The fig2/fig4 study: 100 trials of ``DEMO_PAIR`` at p 1, 2 and 3."""
     config = PerturbationConfig(
-        base_pair=DEMO_PAIR, trials=100, seed=seed, p_values=(1, 2, 3), lambda_values=(0.5,)
+        base_pair=DEMO_PAIR, trials=100, seed=seed, p_values=(1, 2, 3),
+        lambda_values=lambda_values,
     )
-    return study_rows(run_study(config))
+    return run_study(config)
 
 
 def trend_rows(pair, p_values, grid) -> list[tuple]:
@@ -75,17 +68,6 @@ def trend_rows(pair, p_values, grid) -> list[tuple]:
 
 def fig3_rows() -> list[tuple]:
     return trend_rows(DEMO_PAIR, (1, 2, 3), np.linspace(0.0, 1.0, 101))
-
-
-def fig4_rows(seed: int = DEFAULT_SEED) -> list[tuple]:
-    config = PerturbationConfig(
-        base_pair=DEMO_PAIR,
-        trials=100,
-        seed=seed,
-        p_values=(1, 2, 3),
-        lambda_values=(0.0, 0.25, 0.5, 0.75, 1.0),
-    )
-    return study_rows(run_study(config))
 
 
 def score_rows(fs) -> list[tuple]:
@@ -147,23 +129,67 @@ def write_csv(fh, header, rows) -> None:
     writer.writerows(rows)
 
 
+def write_study(fh, result: StudyResult) -> None:
+    """Write a study as ``STUDY_HEADER`` CSV to the open text file ``fh``.
+
+    One row per (trial, p, lambda), in that order, with the bytes
+    ``write_csv`` gives ``(i, epsilon, p, lambda, *cell)`` rows.  Trials go
+    out in blocks of about ``_BLOCK_ROWS`` rows, one ``fh.write`` each, so
+    the text held at once is bounded by the block.  Each distinct column is
+    formatted once: ``d_h`` and ``delta_d_h`` per trial, ``d_m`` and
+    ``delta_d_m`` per p, ``d_c`` and ``delta_d_c`` per (p, lambda).
+    """
+    p_values, lams = result.config.p_values, result.config.lambda_values
+    n_cells = len(p_values) * len(lams)
+    step = max(1, _BLOCK_ROWS // n_cells)
+    # run_study copies d_h into every cell and d_m into every cell of its p
+    first = result.columns[(p_values[0], lams[0])]
+    fh.write(",".join(STUDY_HEADER) + "\n")
+    for start in range(0, len(result.epsilons), step):
+        block = slice(start, start + step)
+
+        def text(column):
+            return map(repr, column[block].tolist())
+
+        trial = [f"{i},{e}," for i, e in zip(range(start, start + step), text(result.epsilons))]
+        d_h, delta_h = list(text(first[:, 1])), list(text(first[:, 4]))
+        lines = [""] * (len(trial) * n_cells)
+        k = 0
+        for p in p_values:
+            cols = result.columns[(p, lams[0])]
+            left = [f"{m},{h}," for m, h in zip(text(cols[:, 0]), d_h)]
+            right = [f",{m},{h}," for m, h in zip(text(cols[:, 3]), delta_h)]
+            for lam in lams:
+                cols = result.columns[(p, lam)]
+                cell = f"{p},{lam},"
+                lines[k::n_cells] = [
+                    f"{t}{cell}{a}{c}{b}{dc}\n"
+                    for t, a, c, b, dc in zip(trial, left, text(cols[:, 2]), right, text(cols[:, 5]))
+                ]
+                k += 1
+        fh.write("".join(lines))
+
+
 def export_figure_datasets(out_dir, seed: int = DEFAULT_SEED) -> list[Path]:
     """Write all six datasets into ``out_dir`` and return the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     datasets = {
-        "fig2.csv": (STUDY_HEADER, fig2_rows(seed)),
+        "fig2.csv": demo_study(seed, (0.5,)),
         "fig3.csv": (("p", "lambda", "d_m", "d_h", "d_c"), fig3_rows()),
-        "fig4.csv": (STUDY_HEADER, fig4_rows(seed)),
+        "fig4.csv": demo_study(seed, (0.0, 0.25, 0.5, 0.75, 1.0)),
         "fig5.csv": (("lambda", "p", "s1", "s2"), fig5_rows()),
         "fig7.csv": (PAIN_SWEEP_HEADER, fig7_rows()),
         "fig8.csv": (PAIN_SWEEP_HEADER, fig8_rows()),
     }
     paths = []
     for name in FIGURE_FILES:
-        header, rows = datasets[name]
+        data = datasets[name]
         path = out / name
         with open(path, "w", newline="") as fh:
-            write_csv(fh, header, rows)
+            if isinstance(data, StudyResult):
+                write_study(fh, data)
+            else:
+                write_csv(fh, *data)
         paths.append(path)
     return paths

@@ -4,8 +4,14 @@ A trial perturbs the first CFN of a pair to ``<u+eps, v-eps, j>`` (the joint
 degree, the sum ``u+v``, and hence the hesitancy are preserved), recomputes
 the three distances to the second CFN, and records the absolute deviation of
 each from its unperturbed baseline.  Epsilon is drawn uniformly from the
-largest admissible interval; each trial uses a counter-derived sub-seed so
-results are reproducible and independent of execution order.
+largest admissible interval ``[lo, hi]``: trial ``i`` of a study with seed
+``seed`` draws ``np.random.default_rng([seed, i]).uniform(lo, hi)``.  This
+counter-derived sub-seed makes results reproducible and independent of
+execution order.  ``_draw_epsilons`` reproduces that stream bit for bit for
+every trial in one pass over uint32/uint64 arrays (numpy's SeedSequence
+mixing, PCG64 seeding and its first XSL-RR output; O'Neill, "PCG: A Family
+of Simple Fast Space-Efficient Statistically Good Algorithms for Random
+Number Generation", 2014), so no generator is built per trial.
 """
 
 from __future__ import annotations
@@ -66,12 +72,22 @@ class PerturbationConfig:
             raise OutOfRangeError("p_values must not be empty")
         for p in self.p_values:
             order_code(p)
-        object.__setattr__(self, "p_values", tuple(self.p_values))
+        object.__setattr__(self, "p_values", _distinct("p", tuple(self.p_values)))
         if not self.lambda_values:
             raise OutOfRangeError("lambda_values must not be empty")
-        object.__setattr__(
-            self, "lambda_values", tuple(DistanceParams(lam=x).lam for x in self.lambda_values)
-        )
+        # + 0.0 turns -0.0 into 0.0, which is one (p, lambda) cell with it
+        lams = tuple(DistanceParams(lam=x).lam + 0.0 for x in self.lambda_values)
+        object.__setattr__(self, "lambda_values", _distinct("lambda", lams))
+
+
+def _distinct(name: str, values: tuple) -> tuple:
+    """``values`` unchanged, or ``OutOfRangeError`` naming the first repeated one."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise OutOfRangeError(f"{name} {value!r} is given more than once")
+        seen.add(value)
+    return values
 
 
 class TrialDistances(NamedTuple):
@@ -127,12 +143,94 @@ class StudyResult:
         ]
 
 
-def _draw_epsilons(seed: int, trials: int, lo: float, hi: float) -> np.ndarray:
-    # one sub-seeded generator per trial: parallel and serial schedules agree
-    out = np.empty(trials)
-    for i in range(trials):
-        out[i] = np.random.default_rng([seed, i]).uniform(lo, hi)
-    return out
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants.
+# Every constant is a typed numpy integer, so that uint32/uint64 arithmetic
+# promotes the same way under numpy 1's value-based casting and NEP 50.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_PCG_MULT_LO0, _PCG_MULT_LO1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _SHIFT32
+
+
+def _hash_constants(init: int, mult: int):
+    """SeedSequence's running hash constant, as (xor word, multiply word) pairs."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield np.uint32(init), np.uint32(nxt)
+        init = nxt
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> _XSHIFT)
+
+
+def _seed_state(seed: int, index: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence([seed, i]).generate_state(4, uint64)``, one column per word.
+
+    The entropy is the seed's 32-bit words, least significant first, then
+    the index word; every ``i`` must lie below 2**32.  Words that do not
+    depend on ``i`` are ``(1,)`` arrays, which broadcast.
+    """
+    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.array([w], dtype=np.uint32) for w in words] + [index.astype(np.uint32)]
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [_hashmix(entropy[k] if k < len(entropy) else zero, consts) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[k % _POOL_SIZE], consts).astype(np.uint64) for k in range(8)]
+    return [state[k] | (state[k + 1] << _SHIFT32) for k in range(0, 8, 2)]
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step on (hi, lo) uint64 halves: ``state * MULT + inc`` mod 2**128."""
+    lo0, lo1 = lo & _LOW32, lo >> _SHIFT32
+    p01, p10 = lo0 * _PCG_MULT_LO1, lo1 * _PCG_MULT_LO0
+    mid = ((lo0 * _PCG_MULT_LO0) >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = lo1 * _PCG_MULT_LO1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    hi = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo).astype(np.uint64), lo
+
+
+def _draw_epsilons(seed: int, index: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``np.random.default_rng([seed, i]).uniform(lo, hi)`` for every ``i`` in ``index``.
+
+    Each trial has its own counter-derived sub-seed, so parallel and serial
+    schedules agree.  numpy's SeedSequence and PCG64 seeding and first draw
+    are recomputed on uint32/uint64 arrays, one pass for all trials.
+    """
+    s_hi, s_lo, q_hi, q_lo = _seed_state(seed, index)
+    inc_hi = (q_hi << np.uint64(1)) | (q_lo >> np.uint64(63))
+    inc_lo = (q_lo << np.uint64(1)) | np.uint64(1)
+    # Seeding: a step from state 0 gives inc; add the seed state; step again.
+    lo_word = inc_lo + s_lo
+    hi_word = inc_hi + s_hi + (lo_word < inc_lo).astype(np.uint64)
+    hi_word, lo_word = _pcg_step(hi_word, lo_word, inc_hi, inc_lo)
+    # The first draw: one more step, then the XSL-RR output.
+    hi_word, lo_word = _pcg_step(hi_word, lo_word, inc_hi, inc_lo)
+    rot = hi_word >> np.uint64(58)
+    x = hi_word ^ lo_word
+    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return lo + (hi - lo) * ((x >> np.uint64(11)).astype(np.float64) * 2.0**-53)
 
 
 def run_study(config: PerturbationConfig) -> StudyResult:
@@ -144,7 +242,7 @@ def run_study(config: PerturbationConfig) -> StudyResult:
     """
     f1, f2 = config.base_pair
     lo, hi = epsilon_bounds(f1)
-    eps = _draw_epsilons(config.seed, config.trials, lo, hi)
+    eps = _draw_epsilons(config.seed, np.arange(config.trials), lo, hi)
 
     e = _min(hi, _max(lo, eps))
     bad, perturbed = validate_rows(np.column_stack([f1.u + e, f1.v - e, np.full(len(e), f1.j)]))

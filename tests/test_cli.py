@@ -250,6 +250,17 @@ class TestSimulateCommand:
         assert main(base + ["--seed", "123", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(("--p", "1", "--p", "1"), "p 1 "), (("--lambda", "0", "--lambda", "-0.0"), "lambda 0.0 ")],
+    )
+    def test_repeated_key(self, capsys, flags, named):
+        code, out, err = run(
+            capsys, "simulate", "--pair", "0.8,0.4,0.32", "0.1,0.9,0.09", "--trials", "2", *flags
+        )
+        assert (code, out) == (1, "")
+        assert named in json.loads(err)["message"]
+
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("CFKIT_SEED", "not-a-number")
         code, _, err = run(capsys, "simulate", "--pair", "1,0,0", "0,1,0")

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cfkit import (
@@ -15,12 +17,19 @@ from cfkit import (
     run_study,
 )
 from cfkit.errors import OutOfEpsilonRangeError, OutOfRangeError
+from cfkit.perturbation import _draw_epsilons
 
-from helpers import cfns
+from helpers import UNIT, cfns
 
 F1 = CFN(0.8, 0.4, 0.32)
 F2 = CFN(0.1, 0.9, 0.09)
 PAIR = (F1, F2)
+# on the lower and the upper joint bound, on u + v = 1, at both anchors,
+# and a zero-width epsilon range
+EDGE_CFNS = (
+    CFN(0.7, 0.5, 0.2), CFN(0.6, 0.3, 0.3), CFN(0.3, 0.7, 0.1),
+    CFN(1.0, 0.0, 0.0), CFN(0.0, 1.0, 0.0), CFN(0.5, 0.5, 0.5),
+)
 
 
 class TestEpsilonBounds:
@@ -90,15 +99,8 @@ class TestRunStudy:
             assert lo <= record.epsilon <= hi
 
     def test_single_trial_matches_direct_recomputation(self):
-        cases = [(F1, 1, (1, 2, 3))] + [
-            # every trial of edge pairs: on the lower and the upper joint bound,
-            # on u + v = 1, at both anchors, and a zero-width epsilon range
-            (f1, 50, (1, 3, 64, CHEBYSHEV))
-            for f1 in (
-                CFN(0.7, 0.5, 0.2), CFN(0.6, 0.3, 0.3), CFN(0.3, 0.7, 0.1),
-                CFN(1.0, 0.0, 0.0), CFN(0.0, 1.0, 0.0), CFN(0.5, 0.5, 0.5),
-            )
-        ]
+        # every trial of the edge pairs
+        cases = [(F1, 1, (1, 2, 3))] + [(f1, 50, (1, 3, 64, CHEBYSHEV)) for f1 in EDGE_CFNS]
         for f1, trials, p_values in cases:
             config = PerturbationConfig(
                 base_pair=(f1, F2), trials=trials, seed=7, p_values=p_values
@@ -183,6 +185,34 @@ class TestRunStudy:
             assert abs(perturb(F1, record.epsilon).hesitancy - F1.hesitancy) <= 1e-15
 
 
+# Seeds of 1 to 5 words and indices on 32-bit word edges, besides free draws.
+SEEDS = st.one_of(
+    st.integers(0, 2**128),
+    st.sampled_from((0, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128)),
+)
+INDICES = st.one_of(st.integers(0, 2**32 - 1), st.sampled_from((0, 2**16, 2**16 + 1, 2**32 - 1)))
+RANGES = st.one_of(
+    cfns().map(epsilon_bounds),
+    st.sampled_from(EDGE_CFNS).map(epsilon_bounds),
+    UNIT.map(lambda x: (x, x)),
+    UNIT.map(lambda x: (0.0, x)),
+    UNIT.map(lambda x: (-x, 0.0)),
+)
+
+
+class TestDrawStream:
+    """The one-pass draw is numpy's own stream, so a numpy release that
+    changes ``default_rng([seed, i]).uniform`` fails here."""
+
+    @given(SEEDS, st.lists(INDICES, min_size=1, max_size=8), RANGES)
+    @example(2**128, [0, 2**16, 70_000, 2**32 - 1], (-0.48, 0.08))
+    def test_matches_default_rng(self, seed, index, bounds):
+        lo, hi = bounds
+        got = _draw_epsilons(seed, np.array(index), lo, hi)
+        want = np.array([np.random.default_rng([seed, i]).uniform(lo, hi) for i in index])
+        assert got.tobytes() == want.tobytes()
+
+
 class TestConfigValidation:
     def test_bad_trials(self):
         with pytest.raises(OutOfRangeError):
@@ -199,6 +229,23 @@ class TestConfigValidation:
     def test_empty_p(self):
         with pytest.raises(OutOfRangeError):
             PerturbationConfig(base_pair=PAIR, p_values=())
+
+    @pytest.mark.parametrize(
+        "field, values, named",
+        [
+            ("p_values", (1, 1), "p 1 "),
+            ("p_values", (2, CHEBYSHEV, 3, CHEBYSHEV), "p inf "),
+            ("lambda_values", (0.5, 0.25, 0.5), "lambda 0.5 "),
+            ("lambda_values", (0.0, -0.0), "lambda 0.0 "),
+        ],
+    )
+    def test_repeated_key(self, field, values, named):
+        with pytest.raises(OutOfRangeError, match=named):
+            PerturbationConfig(base_pair=PAIR, **{field: values})
+
+    def test_negative_zero_lambda_reads_zero(self):
+        (lam,) = PerturbationConfig(base_pair=PAIR, lambda_values=(-0.0,)).lambda_values
+        assert math.copysign(1.0, lam) == 1.0
 
     def test_non_cfn_pair(self):
         with pytest.raises(OutOfRangeError):

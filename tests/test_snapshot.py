@@ -77,6 +77,17 @@ STDOUT_SHA256 = {
          "--p", "inf", "--p", "64"),
         "fc5426889cc030442a366c2fb92aedb4e16c3d1ed5e6e4b583cc459dd1185acf",
     ),
+    # 2,500 trials span several study-writer blocks; this seed has two 32-bit words.
+    "simulate-2500-two-word-seed": (
+        ("simulate", "--pair", *DEMO_PAIR, "--trials", "2500", "--seed", "1099511627779",
+         "--p", "1", "--p", "inf", "--lambda", "0", "--lambda", "0.3"),
+        "b86d6709e8a6e6d775aa6542c9f01f23fe67f39d6003f45b76e30ac02c392867",
+    ),
+    "simulate-2500-seed0": (
+        ("simulate", "--pair", *DEMO_PAIR, "--trials", "2500", "--seed", "0",
+         "--p", "1", "--p", "inf", "--lambda", "0", "--lambda", "0.3"),
+        "5867c2e40007a53bd783577b7eae793b7b2250fe5ccdcad85e4841b39712d2ec",
+    ),
     "sweep-edge-p1-inf": (
         ("sweep", "--p", "1", "--p", "inf", *EDGE_PAIR),
         "215377e7c17eb822f1b8d458ca2f981f70f6b6e2e54bad420867473941fa07e0",
