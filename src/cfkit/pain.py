@@ -133,19 +133,20 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     ``[j_lo, j_hi]`` is ``joint_bounds(u, v)``, which also validated u and v.
     ``lams`` is a 1-D array of balance values; returns ``(j_opt, s_opt)``
     arrays with one entry per lambda.  Each lambda's score curve is scanned
-    on the dense grid (one kernel call per lambda), which keeps the search
-    robust against non-unimodal curves.  The ternary refinement of each
-    winning bracket to REFINE_TOL in j then runs for all lambdas at once,
-    one kernel call per step for the cells still live.  ``blind`` zeroes the
-    hesitancy column: with lambda = 1 that is the hesitancy-blind Minkowski
-    score, bit for bit.
+    on the dense grid, which keeps the search robust against non-unimodal
+    curves: the lambda-free anchor parts of the grid are computed once, and
+    each lambda only combines them and takes the argmin.  The ternary
+    refinement of each winning bracket to REFINE_TOL in j then runs for all
+    lambdas at once, one ``score_many`` call per step for the cells still
+    live.  ``blind`` zeroes the hesitancy column: with lambda = 1 that is the
+    hesitancy-blind Minkowski score, bit for bit.
     """
     grid = np.linspace(j_lo, j_hi, grid_points)
-    rows = _rows_for_j(u, v, grid, blind)
+    parts = backends.anchor_parts(_rows_for_j(u, v, grid, blind), code)
     k = np.empty(len(lams), dtype=np.intp)
     s_opt = np.empty(len(lams))
     for i, lam in enumerate(lams.tolist()):
-        s = backends.score_many(rows, code, lam)
+        s = backends.ratio(backends.combine(parts, lam))
         k[i] = np.argmin((target - s) ** 2)
         s_opt[i] = s[k[i]]
     j_opt = grid[k]

@@ -16,6 +16,7 @@ from cfkit import (
     perturb,
     run_study,
 )
+from cfkit import backends
 from cfkit.errors import OutOfEpsilonRangeError, OutOfRangeError
 from cfkit.perturbation import _draw_epsilons
 
@@ -124,6 +125,22 @@ class TestRunStudy:
                         column = result.columns[(p, lam)][record.index]
                         assert column.tobytes() == np.array(expected).tobytes()
                         assert record.cells[(p, lam)] == tuple(column.tolist())
+
+    def test_one_kernel_call_per_measure(self, monkeypatch):
+        # the unperturbed baseline is scored in the same call as the trials
+        calls = []
+
+        def counting(kernel):
+            def wrapped(a, *args):
+                calls.append((kernel.__name__, len(a)))
+                return kernel(a, *args)
+
+            return wrapped
+
+        for name in ("cfim_pairwise", "cfh_pairwise"):
+            monkeypatch.setattr(backends, name, counting(getattr(backends, name)))
+        run_study(PerturbationConfig(base_pair=PAIR, trials=30, seed=5, p_values=(1, 64)))
+        assert sorted(calls) == [("cfh_pairwise", 31), ("cfim_pairwise", 31), ("cfim_pairwise", 31)]
 
     def test_reproducible(self, study):
         again = run_study(PerturbationConfig(base_pair=PAIR, trials=100, seed=1234))

@@ -40,6 +40,12 @@ STDOUT_SHA256 = {
         ("pain-eval", "--input", str(FIXTURES / "assessment_cheb.json")),
         "18781671c63d8042b4b594e1dfe0fa1a9a95afb9a4b11231d3a3a4f3c729ed46",
     ),
+    # p=64 next to the best anchor: every grid row's best-anchor power sum
+    # underflows, so the solver scores through the max-scaled rescue.
+    "pain-eval-anchor-p64": (
+        ("pain-eval", "--input", str(FIXTURES / "assessment_anchor.json")),
+        "98f0ac905ebf9c228404c9b290eacc16c9e7d36b022594172ab46c1141ca391e",
+    ),
     "pain-eval-cheb-sweep": (
         ("pain-eval", "--sweep", "--input", str(FIXTURES / "assessment_cheb.json")),
         "ab35f7dc1aeb0f1cd1d118e3a19ffd8cd2d92d4c427c92f6e919a629c741ba99",
