@@ -73,24 +73,25 @@ def fig3_rows() -> list[tuple]:
 def score_rows(fs) -> list[tuple]:
     """``(lambda, p, s(f) for f in fs)`` over lambda 0..1 (101 points) x p 1..10.
 
-    One kernel call per p scores every (lambda, f) pair, with lambda as a
-    per-row array; each value equals scalar ``score`` bit for bit.
+    Per p, one ``anchor_parts`` call on the distinct rows and one ``combine``
+    with lambda as a column score every (lambda, f) pair by broadcasting;
+    each value equals scalar ``score`` bit for bit.
     """
     fs = tuple(fs)
     lams = [DistanceParams(lam=float(lam)).lam for lam in np.linspace(0.0, 1.0, 101)]
-    rows = np.tile(component_rows(fs), (len(lams), 1))
-    lam_col = np.repeat(lams, len(fs))
+    rows = component_rows(fs)
+    lam_col = np.array(lams)[:, None]
     scores = {}
     for p in range(1, 11):
-        d_worst, d_best = backends.anchor_distances(rows, order_code(p), lam_col)
+        d_worst, d_best = backends.combine(backends.anchor_parts(rows, order_code(p)), lam_col)
         denom = d_worst + d_best
         degenerate = denom < 1e-12
         if degenerate.any():
             i = int(degenerate.argmax())
             raise DegenerateDenominatorError(
-                f"score normalizer collapsed to {float(denom[i])!r} for {fs[i % len(fs)]}"
+                f"score normalizer collapsed to {float(denom.flat[i])!r} for {fs[i % len(fs)]}"
             )
-        scores[p] = (d_worst / denom).reshape(len(lams), len(fs)).tolist()
+        scores[p] = (d_worst / denom).tolist()
     return [
         (lam, p) + tuple(scores[p][i]) for i, lam in enumerate(lams) for p in range(1, 11)
     ]

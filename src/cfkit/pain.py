@@ -10,12 +10,15 @@ score target ``1 - patient_pain`` and the combined-distance score, via a
 dense grid scan refined by ternary search.  Where the optimal ``j`` sits in
 its interval (the confusion ratio) flags low-confidence assessments.
 
-One solver, ``_solve``, serves every entry point: it scans the grid once per
-lambda and refines all lambdas together.  ``solve_programming1`` is its
-one-lambda case, ``sensitivity_sweep`` calls it once per order over the
-whole lambda grid, and ``legacy_comparison_sweep`` scores rows with their
-hesitancy dropped at lambda = 1, which is the hesitancy-blind Minkowski
-score.
+One solver, ``_solve``, serves every entry point.  It computes the grid's
+lambda-free anchor parts once, in blocks of ``_BLOCK`` points, and scans them
+once per lambda.  It then refines all lambdas together: each kernel call
+scores the whole depth-``_DEPTH`` tree of ternary steps below every live
+bracket, and a walk down the tree takes the steps that one call per step
+would take, bit for bit.  ``solve_programming1`` is its one-lambda case,
+``sensitivity_sweep`` calls it once per order over the whole lambda grid,
+and ``legacy_comparison_sweep`` scores rows with their hesitancy dropped at
+lambda = 1, which is the hesitancy-blind Minkowski score.
 """
 
 from __future__ import annotations
@@ -44,6 +47,18 @@ RECOMMEND_SECOND_NURSE = "second_nurse_suggested"
 DEFAULT_CONFUSION_THRESHOLD = 0.9
 DEFAULT_GRID_POINTS = 10001
 REFINE_TOL = 1e-8
+# Grid points per anchor_parts call.  Its temporaries are then at most
+# 6 x 2048 x 8 B = 96 KiB, under glibc's default 128 KiB mmap threshold, so
+# they come from the heap rather than from fresh mappings that page-fault on
+# every solve.  Blocks of 4096 points still fault; blocks of 512 and 1024
+# lose more to per-call overhead than they save.
+_BLOCK = 2048
+# Ternary steps per refinement call: each call scores the 2 * (2**5 - 1) =
+# 62 points of the whole depth-5 tree below a live bracket.  A solve takes up
+# to about 21 steps, so at most 5 calls instead of one per step; deeper trees
+# score more points than they save calls once a sweep refines 21 brackets at
+# once.
+_DEPTH = 5
 
 
 def normalize_patient_score(items) -> float:
@@ -134,15 +149,20 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     ``lams`` is a 1-D array of balance values; returns ``(j_opt, s_opt)``
     arrays with one entry per lambda.  Each lambda's score curve is scanned
     on the dense grid, which keeps the search robust against non-unimodal
-    curves: the lambda-free anchor parts of the grid are computed once, and
-    each lambda only combines them and takes the argmin.  The ternary
-    refinement of each winning bracket to REFINE_TOL in j then runs for all
-    lambdas at once, one ``score_many`` call per step for the cells still
-    live.  ``blind`` zeroes the hesitancy column: with lambda = 1 that is the
-    hesitancy-blind Minkowski score, bit for bit.
+    curves: the lambda-free anchor parts of the grid are computed once, in
+    blocks of ``_BLOCK`` points, and each lambda only combines them and takes
+    the argmin.  The ternary refinement of each winning bracket to REFINE_TOL
+    in j then runs for all lambdas at once, ``_DEPTH`` steps per
+    ``score_many`` call (see ``_refine``).  ``blind`` zeroes the hesitancy
+    column: with lambda = 1 that is the hesitancy-blind Minkowski score, bit
+    for bit.
     """
     grid = np.linspace(j_lo, j_hi, grid_points)
-    parts = backends.anchor_parts(_rows_for_j(u, v, grid, blind), code)
+    parts = np.empty((4, grid_points))
+    for b in range(0, grid_points, _BLOCK):
+        parts[:, b:b + _BLOCK] = backends.anchor_parts(
+            _rows_for_j(u, v, grid[b:b + _BLOCK], blind), code
+        )
     k = np.empty(len(lams), dtype=np.intp)
     s_opt = np.empty(len(lams))
     for i, lam in enumerate(lams.tolist()):
@@ -163,16 +183,7 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
 
     lo = grid[np.maximum(k - 1, 0)]
     hi = grid[np.minimum(k + 1, grid_points - 1)]
-    live = hi - lo > REFINE_TOL
-    while live.any():
-        l, h = lo[live], hi[live]
-        third = (h - l) / 3.0
-        m1, m2 = l + third, h - third
-        obj = objective(np.concatenate([m1, m2]), np.tile(lams[live], 2))[0].reshape(2, -1)
-        left = obj[0] < obj[1]
-        hi[live] = np.where(left, m2, h)
-        lo[live] = np.where(left, l, m1)
-        live = hi - lo > REFINE_TOL
+    lo, hi = _refine(objective, lams, lo, hi)
 
     best_obj = np.float_power(target - s_opt, 2)
     candidates = (lo, 0.5 * (lo + hi), hi)
@@ -183,6 +194,60 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
         s_opt = np.where(better, s_c, s_opt)
         best_obj = np.where(better, obj_c, best_obj)
     return j_opt, s_opt
+
+
+def _refine(objective, lams, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Ternary-search every bracket ``[lo[i], hi[i]]`` down to REFINE_TOL.
+
+    One step splits ``(l, h)`` at ``m1 = l + (h - l) / 3`` and
+    ``m2 = h - (h - l) / 3`` and keeps ``(l, m2)`` if ``obj(m1) < obj(m2)``,
+    else ``(m1, h)``; a bracket steps while ``h - l > REFINE_TOL``.  Each
+    round scores, in one ``objective`` call, the points of every step the
+    next ``_DEPTH`` steps could take: the whole tree of brackets below each
+    live cell's current one.  Walking down it takes the same steps, on the
+    same bits, as stepping one call at a time.  Returns the final brackets.
+    """
+    lo, hi = lo.tolist(), hi.tolist()
+    live = [i for i, (l, h) in enumerate(zip(lo, hi)) if h - l > REFINE_TOL]
+    while live:
+        n = len(live)
+        # Level d of the tree has 2**d nodes, and node t of cell c has its
+        # bounds at tree[t * n + c] and tree[size - (2**d - t) * n + c].  The
+        # left child (l, m2) of node t is node t of level d + 1 and the right
+        # child (m1, h) is node t + 2**d, so every level's lower bounds extend
+        # the previous level's at the front of the array and its upper bounds
+        # at the back, and tree[n:-n] holds exactly the points m1 and m2.
+        size = n << (_DEPTH + 1)
+        tree = np.empty(size)
+        tree[:n] = [lo[i] for i in live]
+        tree[-n:] = [hi[i] for i in live]
+        for d in range(_DEPTH):
+            k = n << d
+            third = (tree[size - k:] - tree[:k]) / 3.0
+            np.add(tree[:k], third, out=tree[k:2 * k])
+            np.subtract(tree[size - k:], third, out=tree[size - 2 * k:size - k])
+        obj = objective(tree[n:-n], np.tile(lams[live], size // n - 2))[0].tolist()
+        tree = tree.tolist()
+        still = []
+        for c, i in enumerate(live):
+            l, h = lo[i], hi[i]
+            t = 0
+            for d in range(_DEPTH):
+                if h - l <= REFINE_TOL:
+                    break
+                k = n << d
+                m1 = k + t * n + c
+                m2 = size - 2 * k + t * n + c
+                if obj[m1 - n] < obj[m2 - n]:
+                    h = tree[m2]
+                else:
+                    l = tree[m1]
+                    t += 1 << d
+            lo[i], hi[i] = l, h
+            if h - l > REFINE_TOL:
+                still.append(i)
+        live = still
+    return np.array(lo), np.array(hi)
 
 
 def _check_grid(grid_points) -> None:

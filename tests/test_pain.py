@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfkit import (
     CFN,
@@ -19,7 +21,10 @@ from cfkit.errors import (
     ItemOutOfRangeError,
     OutOfRangeError,
 )
+from cfkit import backends, pain
+from cfkit.distance import order_code
 from cfkit.pain import (
+    REFINE_TOL,
     RECOMMEND_ACCEPT,
     RECOMMEND_SECOND_NURSE,
     assessment_from_dict,
@@ -47,6 +52,114 @@ def brute_force_best_objective(u, v, target, p, lam, points=100_001):
     d_best = lam * lp4(us - 1.0, vs, j, h) + (1 - lam) * np.maximum(np.abs(us - 1.0), np.abs(vs))
     s = d_worst / (d_worst + d_best)
     return float(np.min((target - s) ** 2))
+
+
+# --- reference solver: the grid scan in one piece, one kernel call per ternary step ---
+
+def reference_solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
+    grid = np.linspace(j_lo, j_hi, grid_points)
+    parts = backends.anchor_parts(pain._rows_for_j(u, v, grid, blind), code)
+    k = np.empty(len(lams), dtype=np.intp)
+    s_opt = np.empty(len(lams))
+    for i, lam in enumerate(lams.tolist()):
+        s = backends.ratio(backends.combine(parts, lam))
+        k[i] = np.argmin((target - s) ** 2)
+        s_opt[i] = s[k[i]]
+    j_opt = grid[k]
+    if j_hi - j_lo <= 0.0:
+        return j_opt, s_opt
+
+    def objective(j, lam):
+        s = backends.score_many(pain._rows_for_j(u, v, j, blind), code, lam)
+        return np.float_power(target - s, 2), s
+
+    lo = grid[np.maximum(k - 1, 0)]
+    hi = grid[np.minimum(k + 1, grid_points - 1)]
+    live = hi - lo > REFINE_TOL
+    while live.any():
+        l, h = lo[live], hi[live]
+        third = (h - l) / 3.0
+        m1, m2 = l + third, h - third
+        obj = objective(np.concatenate([m1, m2]), np.tile(lams[live], 2))[0].reshape(2, -1)
+        left = obj[0] < obj[1]
+        hi[live] = np.where(left, m2, h)
+        lo[live] = np.where(left, l, m1)
+        live = hi - lo > REFINE_TOL
+
+    best_obj = np.float_power(target - s_opt, 2)
+    candidates = (lo, 0.5 * (lo + hi), hi)
+    obj, s = objective(np.concatenate(candidates), np.tile(lams, 3))
+    for j_c, obj_c, s_c in zip(candidates, obj.reshape(3, -1), s.reshape(3, -1)):
+        better = obj_c < best_obj
+        j_opt = np.where(better, j_c, j_opt)
+        s_opt = np.where(better, s_c, s_opt)
+        best_obj = np.where(better, obj_c, best_obj)
+    return j_opt, s_opt
+
+
+SIMILARITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def similarity_pairs(draw):
+    """``(u, v)``, with 0 and 1 (zero-width intervals) and nearly equal pairs.
+
+    At lambda = 0 and ``v = u + 1e-9`` the score is flat to within an ulp on
+    a refinement bracket, so ternary steps tie.
+    """
+    u = draw(SIMILARITY)
+    if draw(st.booleans()):
+        return u, draw(SIMILARITY)
+    return u, min(1.0, max(0.0, u + draw(st.sampled_from([-1e-8, -1e-10, 1e-10, 1e-9]))))
+ORDERS = st.one_of(st.integers(1, 64), st.just(CHEBYSHEV))
+
+
+@st.composite
+def lambda_lists(draw):
+    """Shuffled lambda grids of 1, 11 or 21 values, so finished cells sit among live ones."""
+    n = draw(st.sampled_from([1, 11, 21]))
+    return np.array(draw(st.permutations(np.linspace(0.0, 1.0, n).tolist())))
+
+
+class TestSolveMatchesReference:
+    @pytest.mark.parametrize("grid_points", [101, 2047, 2048, 2049, 4097, 10001])
+    @settings(max_examples=15, deadline=None)
+    @given(uv=similarity_pairs(), target=st.floats(0.0, 1.0), p=ORDERS,
+           lams=lambda_lists(), blind=st.booleans())
+    # steps tie: the objective at m1 and m2 is equal in most brackets
+    @example(uv=(0.6, 0.60000001), target=0.49999999691537006, p=3, lams=np.array([0.0]),
+             blind=False)
+    @example(uv=(0.07, 0.86), target=12 / 70, p=3, lams=np.linspace(0.0, 1.0, 21)[::-1],
+             blind=False)
+    @example(uv=(0.4, 0.7), target=41 / 70, p=64, lams=np.array([0.5]), blind=True)
+    @example(uv=(0.0, 0.6), target=0.7, p=CHEBYSHEV, lams=np.linspace(0.0, 1.0, 11),
+             blind=False)
+    @example(uv=(1.0, 0.35), target=0.2, p=1, lams=np.array([1.0]), blind=True)
+    def test_bitwise(self, grid_points, uv, target, p, lams, blind):
+        u, v = uv
+        j_lo, j_hi = joint_bounds(u, v)
+        args = (u, v, j_lo, j_hi, target, order_code(p), lams, grid_points, blind)
+        got = pain._solve(*args)
+        want = reference_solve(*args)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
+
+    def test_depth_steps_per_kernel_call(self, monkeypatch):
+        calls = []
+        score_many = backends.score_many
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return score_many(*args)
+
+        monkeypatch.setattr(backends, "score_many", counting)
+        args = (0.07, 0.86, 0.0, 0.07, 12 / 70, 3, np.array([0.5]), 10001)
+        reference_solve(*args)
+        steps = len(calls) - 1  # one call per step, then the final candidates
+        calls.clear()
+        pain._solve(*args)
+        assert steps > 2 * pain._DEPTH
+        assert len(calls) == -(-steps // pain._DEPTH) + 1
+        assert calls[:-1] == [2 ** (pain._DEPTH + 1) - 2] * (len(calls) - 1)
 
 
 class TestNormalizePatientScore:

@@ -46,6 +46,17 @@ STDOUT_SHA256 = {
         ("pain-eval", "--input", str(FIXTURES / "assessment_anchor.json")),
         "98f0ac905ebf9c228404c9b290eacc16c9e7d36b022594172ab46c1141ca391e",
     ),
+    # Optimum on the upper joint bound at p=3; in its sweep 56 of 210 cells
+    # end on the bound and 154 inside, so cells finish refining in different
+    # rounds.
+    "pain-eval-mixed": (
+        ("pain-eval", "--input", str(FIXTURES / "assessment_mixed.json")),
+        "59d9033b945a59eb80d479fccafb11d4fb41ccdd2f251b50e6ffea8860bb734e",
+    ),
+    "pain-eval-mixed-sweep": (
+        ("pain-eval", "--sweep", "--input", str(FIXTURES / "assessment_mixed.json")),
+        "a2270234cad19e83670faedac02839bb542908d8763ca094616d4dcea1a4b7ac",
+    ),
     "pain-eval-cheb-sweep": (
         ("pain-eval", "--sweep", "--input", str(FIXTURES / "assessment_cheb.json")),
         "ab35f7dc1aeb0f1cd1d118e3a19ffd8cd2d92d4c427c92f6e919a629c741ba99",
