@@ -1,4 +1,24 @@
-"""cfkit: cognitive fuzzy numbers, their distances, scoring, and applications."""
+"""cfkit: cognitive fuzzy numbers, their distances, scoring, and applications.
+
+cfkit's kernels are elementwise and make no BLAS call, yet ``import numpy``
+loads OpenBLAS, whose idle worker threads busy-wait for about 0.1 s of CPU
+each before they sleep.  When cfkit is the first to import numpy and the
+environment does not already set ``OPENBLAS_THREAD_TIMEOUT``, it imports
+numpy with that variable at OpenBLAS's shortest timeout, so the workers
+sleep at once, and removes it again.  OpenBLAS reads it once, when it loads:
+the pool and its thread count are unchanged, and neither the environment
+nor child processes see the variable afterwards.
+"""
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in _os.environ:
+    _os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_THREAD_TIMEOUT"]
 
 from .cfn import CFN, CognitiveFuzzyNumber, IntervalForm, joint_bounds
 from .distance import (

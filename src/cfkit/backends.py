@@ -25,6 +25,12 @@ term of each row to the worst anchor ``(0, 1, 0, 0)`` and to the best anchor
 ``lam * norm + (1 - lam) * chebyshev``, and ``ratio`` turns those into the
 score.  A solver that scores the same rows under many lambdas computes the
 parts once.
+
+``anchor_parts`` is a wrapper of one terms-level kernel, ``terms_parts``,
+which takes the six anchor terms and writes the parts into new arrays or
+into arrays the caller gives.  ``line_terms`` writes the terms of the pain
+solver's rows straight from ``(u, v, j)``, and ``combine`` and ``ratio`` take
+``out=`` arrays too, so the solver's grid scan runs in reused memory.
 """
 
 from __future__ import annotations
@@ -50,55 +56,73 @@ def _rows(x) -> np.ndarray:
 
 
 def _root(s: np.ndarray, p: int) -> np.ndarray:
+    """p-th root of the aggregate ``s``, in place."""
     # Chebyshev (0) and p=1 aggregates are already the distance.
-    if p <= 1:
-        return s
     if p == 2:
-        return np.sqrt(s)
-    return s ** (1.0 / p)
+        np.sqrt(s, out=s)
+    elif p > 2:
+        np.power(s, 1.0 / p, out=s)
+    return s
 
 
-def _ipow(x: np.ndarray, p: int) -> np.ndarray:
+def _ipow(x: np.ndarray, p: int, scratch=None) -> np.ndarray:
     """``x**p`` for an integer ``p >= 1`` by square-and-multiply.
 
     The first factor is taken as it is rather than multiplied into 1.0, and
-    the squaring stops at the top set bit of ``p``.
+    the squaring stops at the top set bit of ``p``.  ``scratch``, a pair of
+    arrays shaped like ``x``, takes every product in place of a new array;
+    the result is then ``x`` itself or one of the pair.
     """
     out = None
     while True:
         if p & 1:
-            out = x if out is None else out * x
+            out = x if out is None else np.multiply(out, x, out=_spare(scratch, out, x))
         p >>= 1
         if not p:
             return out
-        x = x * x
+        x = np.multiply(x, x, out=_spare(scratch, x, out))
 
 
-def _sum(terms, p: int) -> np.ndarray:
-    """Fold ``terms`` left to right: max for Chebyshev, else addition."""
+def _spare(scratch, dst, keep):
+    """The scratch array a product replacing ``dst`` may overwrite without touching ``keep``.
+
+    That is ``dst`` itself when it is scratch and not ``keep``, else the
+    other array of the pair; ``None``, a new array, without scratch.
+    """
+    if scratch is None:
+        return None
+    a, b = scratch
+    if dst is not keep and (dst is a or dst is b):
+        return dst
+    return b if keep is a else a
+
+
+def _sum(terms, p: int, out=None) -> np.ndarray:
+    """Fold ``terms`` left to right, into ``out`` when given: max for Chebyshev, else addition."""
     op = np.maximum if p == CHEBYSHEV_CODE else np.add
-    out = op(terms[0], terms[1])
+    out = op(terms[0], terms[1], out=out)
     for t in terms[2:]:
         op(out, t, out=out)
     return out
 
 
 def _finish(s: np.ndarray, terms, p: int) -> np.ndarray:
-    """p-th root of the power sum ``s`` of ``terms``.
+    """p-th root of the power sum ``s`` of ``terms``, in place.
 
     Rows whose power sum falls below the smallest normal float are
     recomputed max-scaled (0 where every term is 0); Chebyshev and p=1 sums
     take no powers and cannot underflow.
     """
-    d = _root(s, p)
-    if p > 1:
-        small = s < _TINY
-        if small.any():
-            t = np.stack([x[small] for x in terms])
-            m = t.max(axis=0)
-            t /= np.where(m > 0.0, m, 1.0)
-            d[small] = m * _root(_sum(_ipow(t, p), p), p)
-    return d
+    if p <= 1:
+        return s
+    small = s < _TINY
+    _root(s, p)
+    if small.any():
+        t = np.stack([x[small] for x in terms])
+        m = t.max(axis=0)
+        t /= np.where(m > 0.0, m, 1.0)
+        s[small] = m * _root(_sum(_ipow(t, p), p), p)
+    return s
 
 
 def _norm(terms, p: int) -> np.ndarray:
@@ -136,36 +160,75 @@ def anchor_parts(rows, p_code: int) -> tuple[np.ndarray, ...]:
     underflow rescue, so rows within about 1e-5 of an anchor at high p keep a
     nonzero distance.
     """
-    t = np.abs(_rows(rows).T[_ANCHOR_COLUMNS] - _ANCHOR_VALUES)
+    return terms_parts(np.abs(_rows(rows).T[_ANCHOR_COLUMNS] - _ANCHOR_VALUES), p_code)
+
+
+def line_terms(u: float, v: float, j: np.ndarray, blind: bool, out: np.ndarray) -> np.ndarray:
+    """The six anchor terms of the rows ``(u - j, v - j, j, 1 - u - v + j)``, written into ``out``.
+
+    These rows are the CFNs with similarities ``u`` and ``v`` and joint
+    degree ``j``; ``blind`` zeroes their hesitancy.  ``out`` is a
+    ``(6, len(j))`` array.  The terms are, bit for bit, the ones
+    ``anchor_parts`` takes of the same rows: subtracting 0 changes no bits
+    that survive the absolute value.
+    """
+    np.subtract(u, j, out=out[0])
+    np.subtract(out[0], 1.0, out=out[4])
+    np.subtract(v, j, out=out[5])
+    np.subtract(out[5], 1.0, out=out[1])
+    np.copyto(out[2], j)
+    if blind:
+        out[3] = 0.0
+    else:
+        np.add(1.0 - u - v, j, out=out[3])
+    return np.abs(out, out=out)
+
+
+def terms_parts(t: np.ndarray, p_code: int, out=None, scratch=None) -> tuple[np.ndarray, ...]:
+    """``anchor_parts`` of the ``(6, n)`` anchor terms ``t``.
+
+    With ``out``, a ``(4, n)`` array, and ``scratch``, a pair of arrays
+    shaped like ``t`` for the powers, the parts are written into ``out`` and
+    the kernel allocates nothing of size ``n`` outside the underflow rescue.
+    """
     # Chebyshev (0) and p=1 aggregate the terms themselves.
-    tp = t if p_code <= 1 else _ipow(t, p_code)
-    worst, best = (t[0], t[1], t[2], t[3]), (t[4], t[5], t[2], t[3])
-    s_worst = _sum((tp[0], tp[1], tp[2], tp[3]), p_code)
-    s_best = _sum((tp[4], tp[5], tp[2], tp[3]), p_code)
-    return (
-        _finish(s_worst, worst, p_code),
-        np.maximum(t[0], t[1]),
-        _finish(s_best, best, p_code),
-        np.maximum(t[4], t[5]),
+    tp = t if p_code <= 1 else _ipow(t, p_code, scratch)
+    norm_worst, cheb_worst, norm_best, cheb_best = (None,) * 4 if out is None else out
+    norm_worst = _finish(
+        _sum((tp[0], tp[1], tp[2], tp[3]), p_code, norm_worst), (t[0], t[1], t[2], t[3]), p_code
     )
+    cheb_worst = np.maximum(t[0], t[1], out=cheb_worst)
+    norm_best = _finish(
+        _sum((tp[4], tp[5], tp[2], tp[3]), p_code, norm_best), (t[4], t[5], t[2], t[3]), p_code
+    )
+    cheb_best = np.maximum(t[4], t[5], out=cheb_best)
+    return norm_worst, cheb_worst, norm_best, cheb_best
 
 
-def combine(parts, lam) -> tuple[np.ndarray, np.ndarray]:
+def combine(parts, lam, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Combined distances ``lam * norm + (1 - lam) * cheb`` to the worst and the best anchor.
 
     ``parts`` is an ``anchor_parts`` result; ``lam`` is one balance value or
-    an array with one value per row.
+    an array with one value per row.  ``out``, when given, is a ``(3, n)``
+    array: the two distances go to its first two rows, and the third is
+    scratch.
     """
     norm_worst, cheb_worst, norm_best, cheb_best = parts
     lam = np.asarray(lam, dtype=np.float64)
     oml = 1.0 - lam
-    return lam * norm_worst + oml * cheb_worst, lam * norm_best + oml * cheb_best
+    d_worst, d_best, tmp = (None, None, None) if out is None else out
+    d_worst = np.multiply(lam, norm_worst, out=d_worst)
+    tmp = np.multiply(oml, cheb_worst, out=tmp)
+    d_worst += tmp
+    d_best = np.multiply(lam, norm_best, out=d_best)
+    d_best += np.multiply(oml, cheb_best, out=tmp)
+    return d_worst, d_best
 
 
-def ratio(distances) -> np.ndarray:
-    """Score ``d_worst / (d_worst + d_best)`` of a ``combine`` result."""
+def ratio(distances, out=None) -> np.ndarray:
+    """Score ``d_worst / (d_worst + d_best)`` of a ``combine`` result, into ``out`` when given."""
     d_worst, d_best = distances
-    return d_worst / (d_worst + d_best)
+    return np.divide(d_worst, np.add(d_worst, d_best, out=out), out=out)
 
 
 def anchor_distances(rows, p_code: int, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -175,4 +238,5 @@ def anchor_distances(rows, p_code: int, lam) -> tuple[np.ndarray, np.ndarray]:
 
 def score_many(f, p_code: int, lam) -> np.ndarray:
     """Combined-distance scores of many CFN rows against the two anchors."""
-    return ratio(combine(anchor_parts(f, p_code), lam))
+    d = combine(anchor_parts(f, p_code), lam)
+    return ratio(d, out=d[1])

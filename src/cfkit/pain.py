@@ -12,7 +12,9 @@ its interval (the confusion ratio) flags low-confidence assessments.
 
 One solver, ``_solve``, serves every entry point.  It computes the grid's
 lambda-free anchor parts once, in blocks of ``_BLOCK`` points, and scans them
-once per lambda.  It then refines all lambdas together: each kernel call
+once per lambda, all in a per-thread workspace of preallocated arrays: a
+solve allocates nothing of the grid's size, so there is no freed heap top
+for glibc to trim and the next solve to page-fault back.  It then refines all lambdas together: each kernel call
 scores the whole depth-``_DEPTH`` tree of ternary steps below every live
 bracket, and a walk down the tree takes the steps that one call per step
 would take, bit for bit.  ``solve_programming1`` is its one-lambda case,
@@ -23,6 +25,7 @@ lambda = 1, which is the hesitancy-blind Minkowski score.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -47,12 +50,12 @@ RECOMMEND_SECOND_NURSE = "second_nurse_suggested"
 DEFAULT_CONFUSION_THRESHOLD = 0.9
 DEFAULT_GRID_POINTS = 10001
 REFINE_TOL = 1e-8
-# Grid points per anchor_parts call.  Its temporaries are then at most
-# 6 x 2048 x 8 B = 96 KiB, under glibc's default 128 KiB mmap threshold, so
-# they come from the heap rather than from fresh mappings that page-fault on
-# every solve.  Blocks of 4096 points still fault; blocks of 512 and 1024
-# lose more to per-call overhead than they save.
-_BLOCK = 2048
+# Grid points per kernel call of the grid scan.  The workspace keeps one
+# (6, _BLOCK) term buffer and two power buffers for it, 3 x 192 KiB, so a
+# 10001-point grid takes 3 calls.  On a 2-CPU x86 host blocks of 2048 points
+# (5 calls) took about 12% longer per solve; a single block would keep about
+# 1.4 MiB more workspace in every thread that solves.
+_BLOCK = 4096
 # Ternary steps per refinement call: each call scores the 2 * (2**5 - 1) =
 # 62 points of the whole depth-5 tree below a live bracket.  A solve takes up
 # to about 21 steps, so at most 5 calls instead of one per step; deeper trees
@@ -142,6 +145,49 @@ def _rows_for_j(u: float, v: float, j_arr, blind: bool) -> np.ndarray:
     return np.column_stack([u - j, v - j, j, h])
 
 
+class _Workspace:
+    """The arrays of the grid scan for one grid size, reused by every solve in a thread."""
+
+    def __init__(self, grid_points: int) -> None:
+        block = min(_BLOCK, grid_points)
+        self.ramp = np.arange(grid_points, dtype=np.float64)
+        self.grid = np.empty(grid_points)
+        self.parts = np.empty((4, grid_points))
+        # one lambda's distances to the worst and the best anchor, and scratch
+        self.scan = np.empty((3, grid_points))
+        self.terms = np.empty((6, block))
+        self.powers = np.empty((2, 6, block))
+
+
+_workspaces = threading.local()
+
+
+def _workspace(grid_points: int) -> _Workspace:
+    ws = getattr(_workspaces, "ws", None)
+    if ws is None or len(ws.grid) != grid_points:
+        ws = _workspaces.ws = _Workspace(grid_points)
+    return ws
+
+
+def _linspace(ramp: np.ndarray, start: float, stop: float, out: np.ndarray) -> np.ndarray:
+    """``np.linspace(start, stop, len(ramp))`` written into ``out``, by linspace's own operations.
+
+    ``ramp`` is ``np.arange(len(out), dtype=float)``.
+    """
+    div = len(ramp) - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        # linspace's order for a width so small that its step underflows
+        np.divide(ramp, div, out=out)
+        out *= delta
+    else:
+        np.multiply(ramp, step, out=out)
+    out += start
+    out[-1] = stop
+    return out
+
+
 def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     """Minimize ``(target - s(j))**2`` over the admissible j, once per lambda.
 
@@ -151,23 +197,34 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     on the dense grid, which keeps the search robust against non-unimodal
     curves: the lambda-free anchor parts of the grid are computed once, in
     blocks of ``_BLOCK`` points, and each lambda only combines them and takes
-    the argmin.  The ternary refinement of each winning bracket to REFINE_TOL
+    the argmin.  The grid, its anchor terms, parts and per-lambda scores are
+    written into the thread's ``_Workspace``, each bit for bit what
+    ``np.linspace``, ``anchor_parts(_rows_for_j(...))`` and ``combine`` would
+    return.  The ternary refinement of each winning bracket to REFINE_TOL
     in j then runs for all lambdas at once, ``_DEPTH`` steps per
     ``score_many`` call (see ``_refine``).  ``blind`` zeroes the hesitancy
     column: with lambda = 1 that is the hesitancy-blind Minkowski score, bit
     for bit.
     """
-    grid = np.linspace(j_lo, j_hi, grid_points)
-    parts = np.empty((4, grid_points))
+    ws = _workspace(grid_points)
+    grid = _linspace(ws.ramp, j_lo, j_hi, ws.grid)
     for b in range(0, grid_points, _BLOCK):
-        parts[:, b:b + _BLOCK] = backends.anchor_parts(
-            _rows_for_j(u, v, grid[b:b + _BLOCK], blind), code
+        j = grid[b:b + _BLOCK]
+        n = len(j)
+        backends.terms_parts(
+            backends.line_terms(u, v, j, blind, ws.terms[:, :n]),
+            code,
+            ws.parts[:, b:b + n],
+            (ws.powers[0, :, :n], ws.powers[1, :, :n]),
         )
+    d_worst, d_best, obj = ws.scan
     k = np.empty(len(lams), dtype=np.intp)
     s_opt = np.empty(len(lams))
     for i, lam in enumerate(lams.tolist()):
-        s = backends.ratio(backends.combine(parts, lam))
-        k[i] = np.argmin((target - s) ** 2)
+        backends.combine(ws.parts, lam, out=ws.scan)
+        s = backends.ratio((d_worst, d_best), out=d_best)
+        np.square(np.subtract(target, s, out=obj), out=obj)
+        k[i] = obj.argmin()
         s_opt[i] = s[k[i]]
     j_opt = grid[k]
     if j_hi - j_lo <= 0.0:

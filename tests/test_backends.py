@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cfkit import DistanceParams, cf_c, cf_h, cf_im, legacy_minkowski, score
-from cfkit import backends
+from cfkit import DistanceParams, cf_c, cf_h, cf_im, joint_bounds, legacy_minkowski, score
+from cfkit import backends, pain
 from cfkit.distance import component_rows, order_code
 
 from helpers import random_cfns, random_component_rows
@@ -81,6 +81,17 @@ class TestAnchorParts:
                 backends.score_many(rows, p_code, lam), got[0] / (got[0] + got[1])
             )
 
+    @pytest.mark.parametrize("blind", [False, True])
+    def test_line_terms_are_the_anchor_terms_of_the_rows(self, blind):
+        rng = np.random.default_rng(17)
+        pairs = [(0.3, 0.4), (0.0, 1.0), (1.0, 0.0), (0.7, 0.7), (0.0, 0.0)]
+        for u, v in pairs + [tuple(rng.random(2).tolist()) for _ in range(20)]:
+            j = np.linspace(*joint_bounds(u, v), 101)
+            rows = pain._rows_for_j(u, v, j, blind)
+            want = np.abs(rows.T[backends._ANCHOR_COLUMNS] - backends._ANCHOR_VALUES)
+            got = backends.line_terms(u, v, j, blind, np.empty((6, len(j))))
+            assert got.tobytes() == want.tobytes()
+
 
 def _naive_pow(x, p):
     out = x
@@ -117,6 +128,15 @@ class TestIpow:
         # dropping the multiplication by 1.0 and the last square keeps the bits
         x = np.concatenate([self.EXACT, np.random.default_rng(p).uniform(0.0, 1.5, 200)])
         assert backends._ipow(x, p).tobytes() == _ones_chain(x, p).tobytes()
+
+
+    @pytest.mark.parametrize("p", range(1, 65))
+    def test_scratch_pair_keeps_the_bits_and_the_input(self, p):
+        x = np.random.default_rng(p).uniform(0.0, 1.5, (6, 50))
+        before = x.tobytes()
+        scratch = (np.full_like(x, np.nan), np.full_like(x, np.nan))
+        assert backends._ipow(x, p, scratch).tobytes() == backends._ipow(x, p).tobytes()
+        assert x.tobytes() == before
 
 
 class TestSelection:

@@ -1,3 +1,10 @@
+import os
+import platform
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -160,6 +167,89 @@ class TestSolveMatchesReference:
         assert steps > 2 * pain._DEPTH
         assert len(calls) == -(-steps // pain._DEPTH) + 1
         assert calls[:-1] == [2 ** (pain._DEPTH + 1) - 2] * (len(calls) - 1)
+
+
+# Widths down to the smallest subnormal, whose step underflows to 0.
+WIDTHS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-16, 1e-9]),
+    st.floats(0.0, 1.0),
+)
+
+# Minor page faults per solve over 200 solves that follow 20 warm-up ones.
+FAULTS_PER_SOLVE = """
+import resource
+import cfkit
+
+def solve(i):
+    p = cfkit.CHEBYSHEV if i % 11 == 10 else i % 11 + 1
+    params = cfkit.DistanceParams(p=p, lam=(i % 21) / 20)
+    cfkit.solve_programming1(0.3 + 0.001 * (i % 50), 0.4, 0.5, params)
+
+for i in range(20):
+    solve(i)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for i in range(200):
+    solve(i)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+"""
+
+
+class TestGridScan:
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.floats(0.0, 1.0), width=WIDTHS, grid_points=st.integers(101, 10001))
+    @example(start=0.5, width=0.0, grid_points=101)
+    @example(start=0.0, width=1.0, grid_points=10001)
+    @example(start=0.0, width=5e-324, grid_points=10001)
+    @example(start=0.3, width=1e-16, grid_points=2049)
+    def test_grid_is_linspace(self, start, width, grid_points):
+        stop = min(1.0, start + width)
+        ramp = np.arange(grid_points, dtype=np.float64)
+        got = pain._linspace(ramp, start, stop, np.empty(grid_points))
+        assert got.tobytes() == np.linspace(start, stop, grid_points).tobytes()
+
+    @pytest.mark.parametrize("grid_points", [2047, 2048, 2049, pain._BLOCK + 1, 10001])
+    def test_all_ties_first_point_wins(self, grid_points):
+        # u == v at lambda = 0: the distances to both anchors are the same
+        # Chebyshev term, so every grid score is exactly 0.5.
+        solution = solve_programming1(0.3, 0.3, 0.2, DistanceParams(p=3, lam=0.0),
+                                      grid_points=grid_points)
+        assert solution.s_opt == 0.5
+        assert solution.j_opt == joint_bounds(0.3, 0.3)[0]
+
+    def test_threads_keep_their_own_workspace(self):
+        # One grid size, so that a workspace shared between threads would be overwritten.
+        cases = [(u, 0.4, 0.5, DistanceParams(p=p, lam=lam))
+                 for u, p, lam in [(0.1, 2, 0.3), (0.5, 7, 0.9), (0.9, 1, 0.0), (0.3, CHEBYSHEV, 1.0)]]
+        want = [solve_programming1(*case) for case in cases]
+        got = [[] for _ in cases]
+
+        def work(i):
+            for _ in range(10):
+                got[i].append(solve_programming1(*cases[i]))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * 10 for w in want]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="counts the page faults of glibc's heap trimming")
+    def test_solves_fault_no_heap_back(self):
+        src = str(Path(pain.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", FAULTS_PER_SOLVE], env=env,
+                             capture_output=True, text=True, timeout=120, check=True).stdout
+        assert float(out) <= 5
 
 
 class TestNormalizePatientScore:
