@@ -18,19 +18,20 @@ every norm, recomputes exactly those rows max-scaled,
 does; every other row keeps the unscaled result.
 
 The score splits into a lambda-free and a per-lambda half.
-``anchor_parts(rows, p_code)`` returns the Minkowski norm and the Chebyshev
-term of each row to the worst anchor ``(0, 1, 0, 0)`` and to the best anchor
-``(1, 0, 0, 0)``; the two anchors share the ``|j|**p`` and ``|h|**p`` powers.
-``combine(parts, lam)`` mixes them into the two combined distances
-``lam * norm + (1 - lam) * chebyshev``, and ``ratio`` turns those into the
-score.  A solver that scores the same rows under many lambdas computes the
-parts once.
+``terms_parts(t, p_code)`` takes the six anchor terms of many rows and
+returns the Minkowski norm and the Chebyshev term of each row to the worst
+anchor ``(0, 1, 0, 0)`` and to the best anchor ``(1, 0, 0, 0)``; the two
+anchors share the ``|j|**p`` and ``|h|**p`` powers.  ``combine(parts, lam)``
+mixes them into the two combined distances ``lam * norm + (1 - lam) *
+chebyshev``, and ``ratio`` turns those into the score.  A caller that
+scores the same rows under many lambdas computes the parts once.
 
-``anchor_parts`` is a wrapper of one terms-level kernel, ``terms_parts``,
-which takes the six anchor terms and writes the parts into new arrays or
-into arrays the caller gives.  ``line_terms`` writes the terms of the pain
-solver's rows straight from ``(u, v, j)``, and ``combine`` and ``ratio`` take
-``out=`` arrays too, so the solver's grid scan runs in reused memory.
+The terms come from one of two builders.  ``anchor_parts(rows, p_code)``
+takes them of ``(n, 4)`` component rows and is the ``terms_parts`` of
+those.  ``line_terms`` writes them straight from ``(u, v, j)`` for the pain
+solver, whose rows are the CFNs of fixed similarities and a varying joint
+degree.  ``terms_parts``, ``combine`` and ``ratio`` take ``out=`` arrays
+too, so the solver's grid scan runs in reused memory.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def terms_parts(t: np.ndarray, p_code: int, out=None, scratch=None) -> tuple[np.
 def combine(parts, lam, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Combined distances ``lam * norm + (1 - lam) * cheb`` to the worst and the best anchor.
 
-    ``parts`` is an ``anchor_parts`` result; ``lam`` is one balance value or
+    ``parts`` is a ``terms_parts`` result; ``lam`` is one balance value or
     an array with one value per row.  ``out``, when given, is a ``(3, n)``
     array: the two distances go to its first two rows, and the third is
     scratch.
@@ -230,13 +231,3 @@ def ratio(distances, out=None) -> np.ndarray:
     d_worst, d_best = distances
     return np.divide(d_worst, np.add(d_worst, d_best, out=out), out=out)
 
-
-def anchor_distances(rows, p_code: int, lam) -> tuple[np.ndarray, np.ndarray]:
-    """Combined distances of many CFN rows to the worst and the best anchor."""
-    return combine(anchor_parts(rows, p_code), lam)
-
-
-def score_many(f, p_code: int, lam) -> np.ndarray:
-    """Combined-distance scores of many CFN rows against the two anchors."""
-    d = combine(anchor_parts(f, p_code), lam)
-    return ratio(d, out=d[1])

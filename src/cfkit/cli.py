@@ -23,9 +23,9 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from . import backends, figures
+from . import figures
 from .cfn import CognitiveFuzzyNumber, validate_rows
-from .distance import DistanceParams, _combined, component_rows, order_code, parse_order
+from .distance import MEASURES, DistanceParams, component_rows, pairwise, parse_order
 from .errors import CfkitError
 from .pain import DEFAULT_CONFUSION_THRESHOLD, assessment_from_dict, interpret, solve_programming1
 from .perturbation import DEFAULT_SEED, PerturbationConfig, run_study
@@ -99,16 +99,7 @@ def _block_rows(path, values, lines) -> tuple[np.ndarray, np.ndarray]:
 
 def _distance_lines(measure, params, a, b) -> str:
     """The ``--measure`` distances between component rows ``a`` and ``b``, one line each."""
-    code = order_code(params.p)
-    if measure == "legacy":
-        d = backends.legacy_pairwise(a, b, code)
-    elif measure == "im":
-        d = backends.cfim_pairwise(a, b, code)
-    elif measure == "h":
-        d = backends.cfh_pairwise(a, b)
-    else:
-        d = _combined(a, b, code, params.lam)
-    return "\n".join(map("{:.6f}".format, d.tolist()))
+    return "\n".join(map("{:.6f}".format, pairwise(measure, a, b, params).tolist()))
 
 
 def _batch_blocks(path, measure, params):
@@ -256,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     dist = sub.add_parser("distance", help="distance between two CFNs")
-    dist.add_argument("--measure", choices=("legacy", "im", "h", "c"), required=True)
+    dist.add_argument("--measure", choices=MEASURES, required=True)
     dist.add_argument("--p", type=parse_order, default=2,
                       help="Minkowski order 1..64 or 'inf' (read by legacy/im/c)")
     dist.add_argument("--lambda", dest="lam", type=float, default=0.5,

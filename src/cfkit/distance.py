@@ -29,6 +29,8 @@ CHEBYSHEV = math.inf
 
 MAX_ORDER = 64
 
+MEASURES = ("legacy", "im", "h", "c")
+
 
 def order_code(p) -> int:
     """Validate a Minkowski order and map it to the kernel code.
@@ -111,15 +113,29 @@ def cf_h(f1: CognitiveFuzzyNumber, f2: CognitiveFuzzyNumber) -> float:
     return float(backends.cfh_pairwise(a, b)[0])
 
 
-def _combined(a, b, p_code: int, lam: float) -> np.ndarray:
-    """Row-wise ``lam * cf_im + (1 - lam) * cf_h`` over component rows."""
-    return lam * backends.cfim_pairwise(a, b, p_code) + (1.0 - lam) * backends.cfh_pairwise(a, b)
+def pairwise(measure: str, a, b, params: DistanceParams) -> np.ndarray:
+    """Row-wise distances between ``(n, 4)`` component rows ``a`` and ``b``.
+
+    ``measure`` is one of ``MEASURES``, naming ``legacy_minkowski``,
+    ``cf_im``, ``cf_h`` and ``cf_c`` in that order.
+    """
+    code = order_code(params.p)
+    if measure == "legacy":
+        return backends.legacy_pairwise(a, b, code)
+    if measure == "im":
+        return backends.cfim_pairwise(a, b, code)
+    if measure == "h":
+        return backends.cfh_pairwise(a, b)
+    if measure == "c":
+        lam = params.lam
+        return lam * backends.cfim_pairwise(a, b, code) + (1.0 - lam) * backends.cfh_pairwise(a, b)
+    raise OutOfRangeError(f"measure must be one of {', '.join(MEASURES)}, got {measure!r}")
 
 
 def cf_c(f1: CognitiveFuzzyNumber, f2: CognitiveFuzzyNumber, params: DistanceParams) -> float:
     """Combined distance ``lam * cf_im + (1 - lam) * cf_h``."""
     a, b = _pair(f1, f2)
-    return float(_combined(a, b, order_code(params.p), params.lam)[0])
+    return float(pairwise("c", a, b, params)[0])
 
 
 def interval_hausdorff(a: IntervalForm, b: IntervalForm) -> float:

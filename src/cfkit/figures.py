@@ -29,6 +29,7 @@ from .perturbation import (
     lambda_trend,
     run_study,
 )
+from .score import DEGENERATE_TOL
 
 DEMO_PAIR = (
     CognitiveFuzzyNumber(0.8, 0.4, 0.32),
@@ -85,7 +86,7 @@ def score_rows(fs) -> list[tuple]:
     for p in range(1, 11):
         d_worst, d_best = backends.combine(backends.anchor_parts(rows, order_code(p)), lam_col)
         denom = d_worst + d_best
-        degenerate = denom < 1e-12
+        degenerate = denom < DEGENERATE_TOL
         if degenerate.any():
             i = int(degenerate.argmax())
             raise DegenerateDenominatorError(

@@ -10,17 +10,21 @@ score target ``1 - patient_pain`` and the combined-distance score, via a
 dense grid scan refined by ternary search.  Where the optimal ``j`` sits in
 its interval (the confusion ratio) flags low-confidence assessments.
 
-One solver, ``_solve``, serves every entry point.  It computes the grid's
-lambda-free anchor parts once, in blocks of ``_BLOCK`` points, and scans them
-once per lambda, all in a per-thread workspace of preallocated arrays: a
-solve allocates nothing of the grid's size, so there is no freed heap top
-for glibc to trim and the next solve to page-fault back.  It then refines all lambdas together: each kernel call
-scores the whole depth-``_DEPTH`` tree of ternary steps below every live
-bracket, and a walk down the tree takes the steps that one call per step
-would take, bit for bit.  ``solve_programming1`` is its one-lambda case,
-``sensitivity_sweep`` calls it once per order over the whole lambda grid,
-and ``legacy_comparison_sweep`` scores rows with their hesitancy dropped at
-lambda = 1, which is the hesitancy-blind Minkowski score.
+One solver, ``_solve``, serves every entry point and scores every point
+through one kernel chain: ``backends.line_terms`` builds the anchor terms
+straight from ``(u, v, j)``, and ``terms_parts``, ``combine`` and ``ratio``
+give the score.  The grid scan computes the grid's lambda-free parts once,
+in blocks of ``_BLOCK`` points, and scans them once per lambda, all in a
+per-thread workspace of preallocated arrays: a solve allocates nothing of
+the grid's size, so there is no freed heap top for glibc to trim and the
+next solve to page-fault back.  The refinement runs for all lambdas
+together: each kernel call scores the whole depth-``_DEPTH`` tree of ternary
+steps below every live bracket, and a walk down the tree takes the steps
+that one call per step would take, bit for bit.  ``solve_programming1`` is
+the one-lambda case, ``sensitivity_sweep`` solves once per order over the
+whole lambda grid, and ``legacy_comparison_sweep`` scores rows with their
+hesitancy dropped at lambda = 1, which is the hesitancy-blind Minkowski
+score.
 """
 
 from __future__ import annotations
@@ -139,12 +143,6 @@ class Interpretation(NamedTuple):
     final_pain_score: float
 
 
-def _rows_for_j(u: float, v: float, j_arr, blind: bool) -> np.ndarray:
-    j = np.asarray(j_arr, dtype=np.float64)
-    h = np.zeros_like(j) if blind else 1.0 - u - v + j
-    return np.column_stack([u - j, v - j, j, h])
-
-
 class _Workspace:
     """The arrays of the grid scan for one grid size, reused by every solve in a thread."""
 
@@ -196,13 +194,12 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     arrays with one entry per lambda.  Each lambda's score curve is scanned
     on the dense grid, which keeps the search robust against non-unimodal
     curves: the lambda-free anchor parts of the grid are computed once, in
-    blocks of ``_BLOCK`` points, and each lambda only combines them and takes
-    the argmin.  The grid, its anchor terms, parts and per-lambda scores are
-    written into the thread's ``_Workspace``, each bit for bit what
-    ``np.linspace``, ``anchor_parts(_rows_for_j(...))`` and ``combine`` would
-    return.  The ternary refinement of each winning bracket to REFINE_TOL
-    in j then runs for all lambdas at once, ``_DEPTH`` steps per
-    ``score_many`` call (see ``_refine``).  ``blind`` zeroes the hesitancy
+    blocks of ``_BLOCK`` points, into the thread's ``_Workspace``, and each
+    lambda only combines them and takes the argmin.  The ternary refinement
+    of each winning bracket to REFINE_TOL in j then runs for all lambdas at
+    once, ``_DEPTH`` steps per kernel call (see ``_refine``); its
+    ``objective`` scores a ``(levels, n)`` array of points, one lambda per
+    column, through the same kernels.  ``blind`` zeroes the hesitancy
     column: with lambda = 1 that is the hesitancy-blind Minkowski score, bit
     for bit.
     """
@@ -231,7 +228,9 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
         return j_opt, s_opt
 
     def objective(j, lam):
-        s = backends.score_many(_rows_for_j(u, v, j, blind), code, lam)
+        terms = backends.line_terms(u, v, j.ravel(), blind, np.empty((6, j.size)))
+        parts = [x.reshape(j.shape) for x in backends.terms_parts(terms, code)]
+        s = backends.ratio(backends.combine(parts, lam))
         # The refinement compares C pow squares (what Python's float ** gives),
         # the grid argmin numpy's exact square.  The two differ in about 0.1%
         # of values, enough to flip a near-tie step, and the published sweep
@@ -244,8 +243,8 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
 
     best_obj = np.float_power(target - s_opt, 2)
     candidates = (lo, 0.5 * (lo + hi), hi)
-    obj, s = objective(np.concatenate(candidates), np.tile(lams, 3))
-    for j_c, obj_c, s_c in zip(candidates, obj.reshape(3, -1), s.reshape(3, -1)):
+    obj, s = objective(np.stack(candidates), lams)
+    for j_c, obj_c, s_c in zip(candidates, obj, s):
         better = obj_c < best_obj
         j_opt = np.where(better, j_c, j_opt)
         s_opt = np.where(better, s_c, s_opt)
@@ -283,7 +282,7 @@ def _refine(objective, lams, lo, hi) -> tuple[np.ndarray, np.ndarray]:
             third = (tree[size - k:] - tree[:k]) / 3.0
             np.add(tree[:k], third, out=tree[k:2 * k])
             np.subtract(tree[size - k:], third, out=tree[size - 2 * k:size - k])
-        obj = objective(tree[n:-n], np.tile(lams[live], size // n - 2))[0].tolist()
+        obj = objective(tree[n:-n].reshape(-1, n), lams[live])[0].ravel().tolist()
         tree = tree.tolist()
         still = []
         for c, i in enumerate(live):

@@ -36,7 +36,7 @@ def epsilon_bounds(f: CognitiveFuzzyNumber) -> tuple[float, float]:
     hi = min(1.0 - f.u, f.v - f.j)
     if lo > hi + 1e-12:
         raise EmptyRangeError(f"empty perturbation range [{lo!r}, {hi!r}] for {f}")
-    return lo, min(hi, max(lo, hi))
+    return lo, hi
 
 
 def perturb(f: CognitiveFuzzyNumber, epsilon: float) -> CognitiveFuzzyNumber:

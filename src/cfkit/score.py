@@ -27,6 +27,8 @@ EQUAL = "equal"
 
 # Scores closer than this are reported as a tie.
 TIE_TOL = 1e-12
+# A score normalizer d(f, worst) + d(f, best) below this is degenerate.
+DEGENERATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,12 +42,11 @@ class ScoreResult:
 
 def score(f: CognitiveFuzzyNumber, params: DistanceParams) -> ScoreResult:
     """Combined-distance score of ``f`` under the given order and balance."""
-    d_worst, d_best = backends.anchor_distances(
-        component_row(f).reshape(1, 4), order_code(params.p), params.lam
-    )
+    parts = backends.anchor_parts(component_row(f).reshape(1, 4), order_code(params.p))
+    d_worst, d_best = backends.combine(parts, params.lam)
     d_worst, d_best = float(d_worst[0]), float(d_best[0])
     denom = d_worst + d_best
-    if denom < 1e-12:
+    if denom < DEGENERATE_TOL:
         raise DegenerateDenominatorError(
             f"score normalizer collapsed to {denom!r} for {f}"
         )

@@ -78,6 +78,16 @@ def random_component_rows(rng, n):
     return np.column_stack([u - j, v - j, j, 1.0 - u - v + j])
 
 
+def solver_rows(u, v, j, blind=False):
+    """(n, 4) rows of the CFNs of similarities u, v and joint degrees j; blind zeroes h.
+
+    These are the rows the pain solver scores, built independently of it.
+    """
+    j = np.asarray(j, dtype=np.float64)
+    h = np.zeros_like(j) if blind else 1.0 - u - v + j
+    return np.column_stack([u - j, v - j, j, h])
+
+
 def random_cfns(rng, n):
     u, v, j = random_triples(rng, n)
     return [CFN(float(a), float(b), float(c)) for a, b, c in zip(u, v, j)]

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cfkit import DistanceParams, cf_c, cf_h, cf_im, joint_bounds, legacy_minkowski, score
-from cfkit import backends, pain
+from cfkit import backends
 from cfkit.distance import component_rows, order_code
 
-from helpers import random_cfns, random_component_rows
+from helpers import random_cfns, random_component_rows, solver_rows
 
 NEAR_ANCHORS = [[1e-6, 1.0 - 1e-6, 0.0, 0.0], [1.0 - 1e-7, 0.0, 1e-7, 0.0]]
 WORST_ROW = [0.0, 1.0, 0.0, 0.0]
@@ -35,7 +35,8 @@ class TestScalarMatchesBatch:
         rows = component_rows(fs)
         for p in (1, 2, 3):
             for lam in (0.0, 0.4, 1.0):
-                batch = backends.score_many(rows, order_code(p), lam)
+                parts = backends.anchor_parts(rows, order_code(p))
+                batch = backends.ratio(backends.combine(parts, lam))
                 params = DistanceParams(p=p, lam=lam)
                 for i, f in enumerate(fs):
                     assert score(f, params).s == batch[i]
@@ -50,17 +51,34 @@ class TestScalarMatchesBatch:
             assert cf_c(f, fs[0], params) == expected
 
 
+def _legacy_score(rows, p_code):
+    worst = np.tile(WORST_ROW, (len(rows), 1))
+    best = np.tile(BEST_ROW, (len(rows), 1))
+    d_w = backends.legacy_pairwise(rows, worst, p_code)
+    d_b = backends.legacy_pairwise(rows, best, p_code)
+    return d_w / (d_w + d_b)
+
+
 class TestLegacyAsBlindScore:
     @pytest.mark.parametrize("p_code", range(0, 65))
     def test_score_without_hesitancy_is_legacy_score(self, p_code):
-        # the pain solver's legacy sweep scores through score_many this way
         rows = np.vstack([random_component_rows(np.random.default_rng(15), 500), NEAR_ANCHORS])
         rows[:, 3] = 0.0
-        worst = np.tile(WORST_ROW, (len(rows), 1))
-        best = np.tile(BEST_ROW, (len(rows), 1))
-        d_w = backends.legacy_pairwise(rows, worst, p_code)
-        d_b = backends.legacy_pairwise(rows, best, p_code)
-        assert np.array_equal(backends.score_many(rows, p_code, 1.0), d_w / (d_w + d_b))
+        s = backends.ratio(backends.combine(backends.anchor_parts(rows, p_code), 1.0))
+        assert np.array_equal(s, _legacy_score(rows, p_code))
+
+    @pytest.mark.parametrize("p_code", range(0, 65))
+    def test_blind_line_score_is_legacy_score(self, p_code):
+        # the pain solver's legacy sweep scores its grid and refinement this way
+        rng = np.random.default_rng(18)
+        # (1e-6, 1 - 1e-6) puts every row within 2e-6 of the worst anchor, and
+        # (1, 1e-7) within 2e-7 of the best one; (0, 1) and (1, 0) are the anchors
+        pairs = [(1e-6, 1.0 - 1e-6), (1.0, 1e-7), (0.0, 1.0), (1.0, 0.0), (0.3, 0.4)]
+        for u, v in pairs + [tuple(rng.random(2).tolist()) for _ in range(5)]:
+            j = np.linspace(*joint_bounds(u, v), 101)
+            terms = backends.line_terms(u, v, j, True, np.empty((6, len(j))))
+            s = backends.ratio(backends.combine(backends.terms_parts(terms, p_code), 1.0))
+            assert np.array_equal(s, _legacy_score(solver_rows(u, v, j, True), p_code))
 
 
 class TestAnchorParts:
@@ -77,9 +95,7 @@ class TestAnchorParts:
                     1.0 - lam
                 ) * backends.cfh_pairwise(rows, anchors)
                 assert d.tobytes() == expected.tobytes()
-            assert np.array_equal(
-                backends.score_many(rows, p_code, lam), got[0] / (got[0] + got[1])
-            )
+            assert np.array_equal(backends.ratio(got), got[0] / (got[0] + got[1]))
 
     @pytest.mark.parametrize("blind", [False, True])
     def test_line_terms_are_the_anchor_terms_of_the_rows(self, blind):
@@ -87,7 +103,7 @@ class TestAnchorParts:
         pairs = [(0.3, 0.4), (0.0, 1.0), (1.0, 0.0), (0.7, 0.7), (0.0, 0.0)]
         for u, v in pairs + [tuple(rng.random(2).tolist()) for _ in range(20)]:
             j = np.linspace(*joint_bounds(u, v), 101)
-            rows = pain._rows_for_j(u, v, j, blind)
+            rows = solver_rows(u, v, j, blind)
             want = np.abs(rows.T[backends._ANCHOR_COLUMNS] - backends._ANCHOR_VALUES)
             got = backends.line_terms(u, v, j, blind, np.empty((6, len(j))))
             assert got.tobytes() == want.tobytes()

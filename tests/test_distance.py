@@ -17,7 +17,7 @@ from cfkit import (
     legacy_minkowski,
 )
 from cfkit import backends
-from cfkit.distance import component_row, order_code
+from cfkit.distance import MEASURES, component_row, component_rows, order_code, pairwise
 from cfkit.errors import OutOfRangeError
 
 from helpers import cfns, near_pairs, random_cfns, random_component_rows
@@ -161,6 +161,27 @@ class TestCfC:
                     + cf_c(f, g, DistanceParams(p=2, lam=lb))
                 )
                 assert abs(d_mid - d_avg) <= 1e-12
+
+
+class TestPairwise:
+    def test_each_measure_is_its_scalar_function(self):
+        rng = np.random.default_rng(25)
+        fs, gs = random_cfns(rng, 50), random_cfns(rng, 50)
+        a, b = component_rows(fs), component_rows(gs)
+        params = DistanceParams(p=3, lam=0.35)
+        scalar = {
+            "legacy": lambda f, g: legacy_minkowski(f, g, 3),
+            "im": lambda f, g: cf_im(f, g, 3),
+            "h": cf_h,
+            "c": lambda f, g: cf_c(f, g, params),
+        }
+        assert set(scalar) == set(MEASURES)
+        for measure, fn in scalar.items():
+            assert pairwise(measure, a, b, params).tolist() == list(map(fn, fs, gs))
+
+    def test_unknown_measure(self):
+        with pytest.raises(OutOfRangeError, match="'cf_c'"):
+            pairwise("cf_c", np.zeros((1, 4)), np.zeros((1, 4)), DistanceParams())
 
 
 @pytest.fixture(scope="module")

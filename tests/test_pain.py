@@ -37,6 +37,8 @@ from cfkit.pain import (
     assessment_from_dict,
 )
 
+from helpers import solver_rows
+
 CASE_ITEMS = (4, 4, 4, 4, 4, 4, 5)  # sums to 29
 CASE_U = 0.4
 CASE_V = 0.7
@@ -65,7 +67,7 @@ def brute_force_best_objective(u, v, target, p, lam, points=100_001):
 
 def reference_solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     grid = np.linspace(j_lo, j_hi, grid_points)
-    parts = backends.anchor_parts(pain._rows_for_j(u, v, grid, blind), code)
+    parts = backends.anchor_parts(solver_rows(u, v, grid, blind), code)
     k = np.empty(len(lams), dtype=np.intp)
     s_opt = np.empty(len(lams))
     for i, lam in enumerate(lams.tolist()):
@@ -77,7 +79,8 @@ def reference_solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=Fal
         return j_opt, s_opt
 
     def objective(j, lam):
-        s = backends.score_many(pain._rows_for_j(u, v, j, blind), code, lam)
+        parts = backends.anchor_parts(solver_rows(u, v, j, blind), code)
+        s = backends.ratio(backends.combine(parts, lam))
         return np.float_power(target - s, 2), s
 
     lo = grid[np.maximum(k - 1, 0)]
@@ -152,18 +155,27 @@ class TestSolveMatchesReference:
 
     def test_depth_steps_per_kernel_call(self, monkeypatch):
         calls = []
-        score_many = backends.score_many
 
-        def counting(*args):
-            calls.append(len(args[0]))
-            return score_many(*args)
+        def counting(name):
+            kernel = getattr(backends, name)
 
-        monkeypatch.setattr(backends, "score_many", counting)
-        args = (0.07, 0.86, 0.0, 0.07, 12 / 70, 3, np.array([0.5]), 10001)
+            def count(*args):
+                calls.append(len(args[0]) if name == "anchor_parts" else args[2].size)
+                return kernel(*args)
+
+            monkeypatch.setattr(backends, name, count)
+
+        counting("anchor_parts")  # the reference's one kernel call per scoring
+        counting("line_terms")  # pain._solve's, one per grid block first
+        grid_points = 10001
+        args = (0.07, 0.86, 0.0, 0.07, 12 / 70, 3, np.array([0.5]), grid_points)
         reference_solve(*args)
-        steps = len(calls) - 1  # one call per step, then the final candidates
+        steps = len(calls) - 2  # the grid, one call per step, then the final candidates
         calls.clear()
         pain._solve(*args)
+        blocks = -(-grid_points // pain._BLOCK)
+        assert sum(calls[:blocks]) == grid_points
+        del calls[:blocks]
         assert steps > 2 * pain._DEPTH
         assert len(calls) == -(-steps // pain._DEPTH) + 1
         assert calls[:-1] == [2 ** (pain._DEPTH + 1) - 2] * (len(calls) - 1)
