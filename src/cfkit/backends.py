@@ -140,10 +140,14 @@ def cfim_pairwise(a, b, p_code: int) -> np.ndarray:
 
 
 def legacy_pairwise(a, b, p_code: int) -> np.ndarray:
-    """Row-wise Minkowski distance over (u*, v*, j) only."""
-    a, b = _rows(a), _rows(b)
-    terms = [np.abs(a[:, i] - b[:, i]) for i in range(3)]
-    return _norm(terms, p_code)
+    """Row-wise Minkowski distance over (u*, v*, j) only.
+
+    That is ``cfim_pairwise`` of the rows with their hesitancy zeroed, bit
+    for bit: a zero term adds nothing to the power sum or to the max.
+    """
+    a, b = _rows(a).copy(), _rows(b).copy()
+    a[:, 3] = b[:, 3] = 0.0
+    return cfim_pairwise(a, b, p_code)
 
 
 def cfh_pairwise(a, b) -> np.ndarray:

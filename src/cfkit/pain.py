@@ -13,16 +13,21 @@ its interval (the confusion ratio) flags low-confidence assessments.
 One solver, ``_solve``, serves every entry point and scores every point
 through one kernel chain: ``backends.line_terms`` builds the anchor terms
 straight from ``(u, v, j)``, and ``terms_parts``, ``combine`` and ``ratio``
-give the score.  The grid scan computes the grid's lambda-free parts once,
-in blocks of ``_BLOCK`` points, and scans them once per lambda, all in a
-per-thread workspace of preallocated arrays: a solve allocates nothing of
-the grid's size, so there is no freed heap top for glibc to trim and the
-next solve to page-fault back.  The refinement runs for all lambdas
-together: each kernel call scores the whole depth-``_DEPTH`` tree of ternary
-steps below every live bracket, and a walk down the tree takes the steps
-that one call per step would take, bit for bit.  ``solve_programming1`` is
-the one-lambda case, ``sensitivity_sweep`` solves once per order over the
-whole lambda grid, and ``legacy_comparison_sweep`` scores rows with their
+give the score.  The grid scan returns the full scan's argmin bit for bit
+but scores only what could hold it: every ``_SPAN``-th grid point and the
+last one first, then the interior of a block between two of them only where
+interval bounds on the block's scores, from its endpoints' terms, could reach
+the best endpoint objective (see ``_scan``).  It runs in a per-thread
+workspace of preallocated arrays: a solve allocates nothing of the grid's
+size, so there is no freed heap top for glibc to trim and the next solve to
+page-fault back.  The refinement runs for all lambdas together.  A bracket
+at a bound of the grid, where most answers sit, first scores its whole path
+of ternary steps toward that bound in one kernel call (see ``_spine``); then
+each kernel call scores the whole depth-``_DEPTH`` tree of ternary steps
+below every live bracket, and a walk down the tree takes the steps that one
+call per step would take, bit for bit.  ``solve_programming1`` is the
+one-lambda case, ``sensitivity_sweep`` solves once per order over the whole
+lambda grid, and ``legacy_comparison_sweep`` scores rows with their
 hesitancy dropped at lambda = 1, which is the hesitancy-blind Minkowski
 score.
 """
@@ -54,11 +59,16 @@ RECOMMEND_SECOND_NURSE = "second_nurse_suggested"
 DEFAULT_CONFUSION_THRESHOLD = 0.9
 DEFAULT_GRID_POINTS = 10001
 REFINE_TOL = 1e-8
-# Grid points per kernel call of the grid scan.  The workspace keeps one
-# (6, _BLOCK) term buffer and two power buffers for it, 3 x 192 KiB, so a
-# 10001-point grid takes 3 calls.  On a 2-CPU x86 host blocks of 2048 points
-# (5 calls) took about 12% longer per solve; a single block would keep about
-# 1.4 MiB more workspace in every thread that solves.
+# Grid points per pruning block of the grid scan: it scores every _SPAN-th
+# point and the last one, and the interior of a block only where the bounds
+# those endpoints give could reach the best endpoint objective.  A 10001-point
+# grid has 158 endpoints.  On a clinic stream, spans of 32, 64 and 128 score
+# 6.8%, 7.9% and 11.7% of the grid's points in all, and cost the same per
+# solve within the host's noise.
+_SPAN = 64
+# Kept grid points per kernel call of the grid scan.  The workspace keeps one
+# (6, _BLOCK) term buffer and two power buffers for it, 3 x 192 KiB, so even a
+# scan that keeps every block of a 10001-point grid takes 3 calls.
 _BLOCK = 4096
 # Ternary steps per refinement call: each call scores the 2 * (2**5 - 1) =
 # 62 points of the whole depth-5 tree below a live bracket.  A solve takes up
@@ -66,6 +76,9 @@ _BLOCK = 4096
 # score more points than they save calls once a sweep refines 21 brackets at
 # once.
 _DEPTH = 5
+# Absolute widening of the score bounds of a pruning block.  The computed
+# score is within a few ulps of the exact one (see ``_scan``), under 1e-15.
+_SLACK = 1e-12
 
 
 def normalize_patient_score(items) -> float:
@@ -147,12 +160,25 @@ class _Workspace:
     """The arrays of the grid scan for one grid size, reused by every solve in a thread."""
 
     def __init__(self, grid_points: int) -> None:
-        block = min(_BLOCK, grid_points)
         self.ramp = np.arange(grid_points, dtype=np.float64)
         self.grid = np.empty(grid_points)
-        self.parts = np.empty((4, grid_points))
-        # one lambda's distances to the worst and the best anchor, and scratch
-        self.scan = np.empty((3, grid_points))
+        # the pruning blocks' endpoints: every _SPAN-th grid point, then the last one
+        self.ends = np.arange(0, grid_points + _SPAN - 1, _SPAN)
+        self.ends[-1] = grid_points - 1
+        self.inner = np.arange(1, _SPAN)
+        # grid indices past the last point that the last block's interior would take
+        self.excess = self.ends[-2] + _SPAN - self.ends[-1]
+        e = len(self.ends)
+        # the endpoints' terms, then each block's lower and upper term bounds
+        self.bounds = np.empty((6, 3 * e - 2))
+        # the kept points: grid indices, joint degrees, parts and one lambda's
+        # distances to the worst and the best anchor, and scratch
+        size = (e - 1) * (_SPAN - 1)
+        self.index = np.empty(size, dtype=np.intp)
+        self.points = np.empty(size)
+        self.parts = np.empty((4, size))
+        self.scan = np.empty((3, size))
+        block = min(_BLOCK, size)
         self.terms = np.empty((6, block))
         self.powers = np.empty((2, 6, block))
 
@@ -191,40 +217,24 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
 
     ``[j_lo, j_hi]`` is ``joint_bounds(u, v)``, which also validated u and v.
     ``lams`` is a 1-D array of balance values; returns ``(j_opt, s_opt)``
-    arrays with one entry per lambda.  Each lambda's score curve is scanned
-    on the dense grid, which keeps the search robust against non-unimodal
-    curves: the lambda-free anchor parts of the grid are computed once, in
-    blocks of ``_BLOCK`` points, into the thread's ``_Workspace``, and each
-    lambda only combines them and takes the argmin.  The ternary refinement
-    of each winning bracket to REFINE_TOL in j then runs for all lambdas at
-    once, ``_DEPTH`` steps per kernel call (see ``_refine``); its
-    ``objective`` scores a ``(levels, n)`` array of points, one lambda per
-    column, through the same kernels.  ``blind`` zeroes the hesitancy
-    column: with lambda = 1 that is the hesitancy-blind Minkowski score, bit
-    for bit.
+    arrays with one entry per lambda.  Each lambda's optimum on the dense
+    grid, which keeps the search robust against non-unimodal curves, is the
+    full scan's argmin, found by scoring only the grid blocks that could hold
+    it (see ``_scan``).  The ternary refinement of each winning bracket to
+    REFINE_TOL in j then runs for all lambdas at once: first the steps of
+    every bracket at a bound of the grid toward that bound, all in one call
+    (see ``_spine``), then ``_DEPTH`` steps per kernel call (see
+    ``_refine``).  Its ``objective`` scores a ``(levels, n)`` array of
+    points, one lambda per column, through the same kernels.  ``blind``
+    zeroes the hesitancy column: with lambda = 1 that is the hesitancy-blind
+    Minkowski score, bit for bit.
     """
     ws = _workspace(grid_points)
     grid = _linspace(ws.ramp, j_lo, j_hi, ws.grid)
-    for b in range(0, grid_points, _BLOCK):
-        j = grid[b:b + _BLOCK]
-        n = len(j)
-        backends.terms_parts(
-            backends.line_terms(u, v, j, blind, ws.terms[:, :n]),
-            code,
-            ws.parts[:, b:b + n],
-            (ws.powers[0, :, :n], ws.powers[1, :, :n]),
-        )
-    d_worst, d_best, obj = ws.scan
-    k = np.empty(len(lams), dtype=np.intp)
-    s_opt = np.empty(len(lams))
-    for i, lam in enumerate(lams.tolist()):
-        backends.combine(ws.parts, lam, out=ws.scan)
-        s = backends.ratio((d_worst, d_best), out=d_best)
-        np.square(np.subtract(target, s, out=obj), out=obj)
-        k[i] = obj.argmin()
-        s_opt[i] = s[k[i]]
+    flat = j_hi - j_lo <= 0.0
+    k, s_opt = _scan(ws, u, v, target, code, lams, blind, flat)
     j_opt = grid[k]
-    if j_hi - j_lo <= 0.0:
+    if flat:
         return j_opt, s_opt
 
     def objective(j, lam):
@@ -239,7 +249,8 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
 
     lo = grid[np.maximum(k - 1, 0)]
     hi = grid[np.minimum(k + 1, grid_points - 1)]
-    lo, hi = _refine(objective, lams, lo, hi)
+    bound = [-1 if i == 0 else int(i == grid_points - 1) for i in k.tolist()]
+    lo, hi = _refine(objective, lams, lo, hi, bound)
 
     best_obj = np.float_power(target - s_opt, 2)
     candidates = (lo, 0.5 * (lo + hi), hi)
@@ -252,19 +263,175 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     return j_opt, s_opt
 
 
-def _refine(objective, lams, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+def _scan(ws, u, v, target, code, lams, blind, flat) -> tuple[np.ndarray, np.ndarray]:
+    """Each lambda's grid argmin of ``(target - s)**2`` and the score there, scoring only what can win.
+
+    ``ws.grid`` holds the grid; returns grid indices and scores.  The grid
+    splits into blocks of ``_SPAN`` points between endpoints ``ws.ends``,
+    and the endpoints are scored first.  Their terms also bound every
+    block's interior terms: each line term is the absolute value of a
+    rounded linear function of ``j`` on a sorted grid, so along a block its
+    computed value lies between the values at the block's endpoints.  The
+    ``min`` and ``max`` of the two endpoints' terms go through
+    ``terms_parts`` and ``combine`` like any row, and the score of every
+    interior point then lies in ``[s_lo, s_hi]`` with ``s_lo = dw_lo / (dw_lo
+    + db_hi)`` and ``s_hi = dw_hi / (dw_hi + db_lo)``, each widened by
+    ``_SLACK``.  Only the blocks whose lower bound on the objective, the
+    squared distance from the target to that interval, is at most the best
+    endpoint objective of some lambda are scored; the argmin over endpoints
+    and kept points, first in grid order on a tie, is the full scan's bit
+    for bit, since every pruned point's objective exceeds that best one and
+    so neither wins nor ties.
+
+    Why the bounds hold for the computed scores, bit for bit:
+
+    - The grid is sorted (``_linspace`` is a rounded ``i * step + j_lo``
+      ending on ``j_hi``), and each term is the absolute value of ``j`` or
+      of one or two rounded additions of it: ``u - j``, ``u - j - 1``,
+      ``v - j``, ``v - j - 1`` and ``1 - u - v + j``, with ``j <= min(u,
+      v)``.
+      Only the last, the hesitancy, can change sign inside a block, through
+      a rounding error at ``j_lo``; the minimum of its endpoint values is
+      then too high by under an ulp, and every norm is 1-Lipschitz in each
+      term.
+    - Rounding to nearest is monotone, so each rounded multiply, add and max
+      of non-negative numbers is monotone in its inputs.  The computed
+      powers, power sums and Chebyshev terms of an interior point therefore
+      lie between those of the two bound rows, and so do their combinations
+      with the weights ``lam`` and ``1 - lam``.
+    - Only the p-th root (``pow``, or ``_finish``'s max-scaled rescue where a
+      power sum underflows) and the ratio's division are not monotone bit
+      for bit.  Each is within a few ulps of its exact, monotone value; the
+      rounded exponent ``1 / p`` moves a norm ``N`` by at most ``N |ln N|``
+      units of roundoff, under 0.4 of one.  The distances are at most 4, so
+      all of this is far below 1e-15.
+    - An absolute error in ``dw`` or ``db`` moves ``s = dw / (dw + db)`` by
+      at most as much: both partial derivatives are at most ``1 / (dw +
+      db)``, and ``dw + db >= d(worst, best) >= 1`` by the triangle
+      inequality.  ``_SLACK`` covers the error by three orders of magnitude.
+    - Past the scores, ``np.square`` of a rounded difference is monotone
+      too, so no pruned point's objective can fall to the best one.
+
+    A zero-width interval (``flat``) has one j, and scores one point.  Kept
+    points are gathered into the workspace and scored ``_BLOCK`` per kernel
+    call, so a solve allocates nothing of the grid's size.
+    """
+    ends = ws.ends[:1] if flat else ws.ends
+    e = len(ends)
+    t = ws.bounds[:, :3 * e - 2]
+    backends.line_terms(u, v, np.take(ws.grid, ends, out=ws.points[:e]), blind, t[:, :e])
+    np.minimum(t[:, :e - 1], t[:, 1:e], out=t[:, e:2 * e - 1])
+    np.maximum(t[:, :e - 1], t[:, 1:e], out=t[:, 2 * e - 1:])
+    parts = backends.terms_parts(t, code)
+    k = np.empty(len(lams), dtype=np.intp)
+    best = np.empty(len(lams))
+    s_opt = np.empty(len(lams))
+    keep = np.zeros(e - 1, dtype=bool)
+    for i, lam in enumerate(lams.tolist()):
+        d_worst, d_best = backends.combine(parts, lam)
+        s = backends.ratio((d_worst[:e], d_best[:e]))
+        obj = np.square(np.subtract(target, s))
+        m = obj.argmin()
+        k[i], best[i], s_opt[i] = ends[m], obj[m], s[m]
+        s_lo = backends.ratio((d_worst[e:2 * e - 1], d_best[2 * e - 1:])) - _SLACK
+        s_hi = backends.ratio((d_worst[2 * e - 1:], d_best[e:2 * e - 1])) + _SLACK
+        gap = np.maximum(np.maximum(s_lo - target, target - s_hi), 0.0)
+        keep |= ~(np.square(gap) > best[i])
+
+    blocks = np.flatnonzero(keep)
+    index = ws.index[:len(blocks) * (_SPAN - 1)]
+    np.add(ends[blocks, None], ws.inner, out=index.reshape(-1, _SPAN - 1))
+    n = len(index) - (ws.excess if keep[-1:].any() else 0)
+    if n <= 0:
+        return k, s_opt
+    index = index[:n]
+    j = np.take(ws.grid, index, out=ws.points[:n])
+    for b in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - b)
+        backends.terms_parts(
+            backends.line_terms(u, v, j[b:b + m], blind, ws.terms[:, :m]),
+            code,
+            ws.parts[:, b:b + m],
+            (ws.powers[0, :, :m], ws.powers[1, :, :m]),
+        )
+    d_worst, d_best, obj = scan = ws.scan[:, :n]
+    for i, lam in enumerate(lams.tolist()):
+        backends.combine(ws.parts[:, :n], lam, out=scan)
+        s = backends.ratio((d_worst, d_best), out=d_best)
+        np.square(np.subtract(target, s, out=obj), out=obj)
+        m = obj.argmin()
+        if obj[m] < best[i] or (obj[m] == best[i] and index[m] < k[i]):
+            k[i], best[i], s_opt[i] = index[m], obj[m], s[m]
+    return k, s_opt
+
+
+def _spine(objective, lams, lo, hi, cells, bound) -> None:
+    """Take the steps of every bracket in ``cells`` toward its grid bound, all scored in one call.
+
+    A cell whose grid optimum is the first grid point has the bracket
+    ``(grid[0], grid[1])`` (``bound[i]`` is -1), and where the objective
+    rises away from ``j_lo``, as it does for most answers, every ternary
+    step keeps ``(l, m2)``: only ``h`` moves.  That path of steps down to
+    REFINE_TOL is known before any point of it is scored, with ``_refine``'s
+    ``third``, ``m1`` and ``m2`` arithmetic.  One ``objective`` call scores
+    the paths of all cells, and a walk along each takes its steps by
+    ``_refine``'s rule and stops at the first one that goes the other way,
+    leaving that bracket to the tree.  A cell at the last grid point
+    (``bound[i]`` is 1) mirrors this, moving only ``l``.  Cells with the
+    same bracket and bound share their path.  ``lo`` and ``hi`` are lists
+    and are updated in place.
+    """
+    paths, cell_paths = {}, []
+    for i in cells:
+        key = (lo[i], hi[i], bound[i])
+        if key not in paths:
+            l, h = lo[i], hi[i]
+            path = paths[key] = []
+            while h - l > REFINE_TOL:
+                third = (h - l) / 3.0
+                path.append((l + third, h - third))
+                if bound[i] < 0:
+                    h = path[-1][1]
+                else:
+                    l = path[-1][0]
+        cell_paths.append(paths[key])
+    size = max(map(len, paths.values()))
+    columns = []
+    for path in cell_paths:
+        path = path + path[-1:] * (size - len(path))
+        columns.append([m1 for m1, _ in path] + [m2 for _, m2 in path])
+    obj = objective(np.array(columns).T, lams[cells])[0].tolist()
+    for c, (i, path) in enumerate(zip(cells, cell_paths)):
+        for d, (m1, m2) in enumerate(path):
+            if (obj[d][c] < obj[size + d][c]) != (bound[i] < 0):
+                break
+            if bound[i] < 0:
+                hi[i] = m2
+            else:
+                lo[i] = m1
+
+
+def _refine(objective, lams, lo, hi, bound) -> tuple[np.ndarray, np.ndarray]:
     """Ternary-search every bracket ``[lo[i], hi[i]]`` down to REFINE_TOL.
 
     One step splits ``(l, h)`` at ``m1 = l + (h - l) / 3`` and
     ``m2 = h - (h - l) / 3`` and keeps ``(l, m2)`` if ``obj(m1) < obj(m2)``,
-    else ``(m1, h)``; a bracket steps while ``h - l > REFINE_TOL``.  Each
-    round scores, in one ``objective`` call, the points of every step the
-    next ``_DEPTH`` steps could take: the whole tree of brackets below each
-    live cell's current one.  Walking down it takes the same steps, on the
-    same bits, as stepping one call at a time.  Returns the final brackets.
+    else ``(m1, h)``; a bracket steps while ``h - l > REFINE_TOL``.
+    ``bound[i]`` is -1 where the grid optimum is the first grid point, 1
+    where it is the last and 0 elsewhere; the brackets at a bound first take
+    their steps toward it in one call (see ``_spine``), which for most of
+    them is every step.  Then each round scores, in one ``objective`` call,
+    the points of every step the next ``_DEPTH`` steps could take: the whole
+    tree of brackets below each live cell's current one.  Walking down it
+    takes the same steps, on the same bits, as stepping one call at a time.
+    Returns the final brackets.
     """
     lo, hi = lo.tolist(), hi.tolist()
     live = [i for i, (l, h) in enumerate(zip(lo, hi)) if h - l > REFINE_TOL]
+    cells = [i for i in live if bound[i]]
+    if cells:
+        _spine(objective, lams, lo, hi, cells, bound)
+        live = [i for i in live if hi[i] - lo[i] > REFINE_TOL]
     while live:
         n = len(live)
         # Level d of the tree has 2**d nodes, and node t of cell c has its

@@ -80,6 +80,14 @@ class TestLegacyAsBlindScore:
             s = backends.ratio(backends.combine(backends.terms_parts(terms, p_code), 1.0))
             assert np.array_equal(s, _legacy_score(solver_rows(u, v, j, True), p_code))
 
+    def test_legacy_leaves_its_rows_unchanged(self):
+        # legacy_pairwise zeroes the hesitancy of copies of its rows
+        rng = np.random.default_rng(19)
+        a, b = random_component_rows(rng, 50), random_component_rows(rng, 50)
+        want = a.copy(), b.copy()
+        backends.legacy_pairwise(a, b, 3)
+        assert np.array_equal(a, want[0]) and np.array_equal(b, want[1])
+
 
 class TestAnchorParts:
     @pytest.mark.parametrize("p_code", range(0, 65))

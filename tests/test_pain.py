@@ -131,8 +131,22 @@ def lambda_lists(draw):
     return np.array(draw(st.permutations(np.linspace(0.0, 1.0, n).tolist())))
 
 
+def reference_score(u, v, j, code, lam):
+    """The score of the solver's row at joint degree j, by the reference's kernels."""
+    parts = backends.anchor_parts(solver_rows(u, v, [j]), code)
+    return float(backends.ratio(backends.combine(parts, lam))[0])
+
+
+# A p=64 pair within 1e-5 of the best anchor: the norms to it, of the grid's
+# rows and of the lower term bounds of every pruning block, take the
+# underflow rescue of backends._finish.
+NEAR_BEST = (1.0 - 3e-6, 2e-6)
+
+
 class TestSolveMatchesReference:
-    @pytest.mark.parametrize("grid_points", [101, 2047, 2048, 2049, 4097, 10001])
+    # 129, 130 and 131 are 64 m + 1, + 2 and + 3 points: the last pruning
+    # block is full, has no interior, or has a one-point interior.
+    @pytest.mark.parametrize("grid_points", [101, 129, 130, 131, 2047, 2048, 2049, 4097, 10001])
     @settings(max_examples=15, deadline=None)
     @given(uv=similarity_pairs(), target=st.floats(0.0, 1.0), p=ORDERS,
            lams=lambda_lists(), blind=st.booleans())
@@ -145,6 +159,26 @@ class TestSolveMatchesReference:
     @example(uv=(0.0, 0.6), target=0.7, p=CHEBYSHEV, lams=np.linspace(0.0, 1.0, 11),
              blind=False)
     @example(uv=(1.0, 0.35), target=0.2, p=1, lams=np.array([1.0]), blind=True)
+    # all ties (u == v at lambda = 0): no block may be pruned, and the optimum
+    # on j_lo takes its first ternary step inward, off the spine
+    @example(uv=(0.3, 0.3), target=0.2, p=3, lams=np.array([0.0]), blind=False)
+    # the target is the score of the first or the last grid point, both endpoints
+    @example(uv=(0.07, 0.86), target=reference_score(0.07, 0.86, 0.0, 3, 0.5), p=3,
+             lams=np.array([0.5]), blind=False)
+    @example(uv=(0.4, 0.7), target=reference_score(0.4, 0.7, 0.4, 2, 0.3), p=2,
+             lams=np.array([0.3, 0.0, 1.0]), blind=False)
+    # bound rows through the underflow rescue
+    @example(uv=NEAR_BEST, target=0.99999, p=64, lams=np.linspace(0.0, 1.0, 11), blind=False)
+    @example(uv=NEAR_BEST[::-1], target=1e-5, p=64, lams=np.array([1.0]), blind=True)
+    # nearly equal u and v near the best anchor: the score is flat to about
+    # 1e-5 along j, and a block bound any tighter than the s_lo and s_hi of
+    # pain._scan prunes blocks that hold an optimum
+    @example(uv=(0.9999914522524619, 0.9999914422524618), target=0.25, p=3,
+             lams=np.linspace(0.0, 1.0, 21), blind=False)
+    # the grid optimum is j_lo, but the true one lies 3e-6 inside, so the
+    # spine's walk stops after a few steps and the tree takes over
+    @example(uv=(0.07, 0.86), target=reference_score(0.07, 0.86, 3e-6, 3, 0.5), p=3,
+             lams=np.array([0.5]), blind=False)
     def test_bitwise(self, grid_points, uv, target, p, lams, blind):
         u, v = uv
         j_lo, j_hi = joint_bounds(u, v)
@@ -153,32 +187,80 @@ class TestSolveMatchesReference:
         want = reference_solve(*args)
         assert [x.tolist() for x in got] == [x.tolist() for x in want]
 
-    def test_depth_steps_per_kernel_call(self, monkeypatch):
+    @staticmethod
+    def kernel_calls(monkeypatch):
+        """Points per scoring call, marked where ``_refine`` and ``_spine`` start."""
         calls = []
 
-        def counting(name):
-            kernel = getattr(backends, name)
+        def counting(module, name, size):
+            function = getattr(module, name)
 
             def count(*args):
-                calls.append(len(args[0]) if name == "anchor_parts" else args[2].size)
-                return kernel(*args)
+                calls.append(size(args))
+                return function(*args)
 
-            monkeypatch.setattr(backends, name, count)
+            monkeypatch.setattr(module, name, count)
 
-        counting("anchor_parts")  # the reference's one kernel call per scoring
-        counting("line_terms")  # pain._solve's, one per grid block first
+        # the reference's one kernel call per scoring, then pain._solve's
+        counting(backends, "anchor_parts", lambda args: len(args[0]))
+        counting(backends, "line_terms", lambda args: args[2].size)
+        counting(pain, "_refine", lambda args: "refine")
+        counting(pain, "_spine", lambda args: "spine")
+        return calls
+
+    def test_bound_optimum_refines_in_one_spine_call(self, monkeypatch):
+        calls = self.kernel_calls(monkeypatch)
         grid_points = 10001
         args = (0.07, 0.86, 0.0, 0.07, 12 / 70, 3, np.array([0.5]), grid_points)
         reference_solve(*args)
         steps = len(calls) - 2  # the grid, one call per step, then the final candidates
         calls.clear()
-        pain._solve(*args)
-        blocks = -(-grid_points // pain._BLOCK)
-        assert sum(calls[:blocks]) == grid_points
-        del calls[:blocks]
+        j_opt, _ = pain._solve(*args)
+        assert j_opt.tolist() == [0.07]  # j_hi, the last grid point
+        start = calls.index("refine")
+        scan, refine = calls[:start], calls[start + 1:]
+        # the block endpoints, then the interiors of the kept blocks
+        assert scan[0] == -(-(grid_points - 1) // pain._SPAN) + 1
+        assert 0 < sum(scan[1:]) < grid_points // 10
         assert steps > 2 * pain._DEPTH
-        assert len(calls) == -(-steps // pain._DEPTH) + 1
-        assert calls[:-1] == [2 ** (pain._DEPTH + 1) - 2] * (len(calls) - 1)
+        assert refine == ["spine", 2 * steps, 3]
+
+    def test_depth_steps_per_kernel_call(self, monkeypatch):
+        calls = self.kernel_calls(monkeypatch)
+        grid_points = 10001
+        target = reference_score(0.07, 0.86, 0.03, 3, 0.5)  # an interior optimum
+        args = (0.07, 0.86, 0.0, 0.07, target, 3, np.array([0.5]), grid_points)
+        reference_solve(*args)
+        steps = len(calls) - 2
+        calls.clear()
+        pain._solve(*args)
+        refine = calls[calls.index("refine") + 1:]
+        assert steps > 2 * pain._DEPTH
+        assert len(refine) == -(-steps // pain._DEPTH) + 1
+        assert refine[:-1] == [2 ** (pain._DEPTH + 1) - 2] * (len(refine) - 1)
+
+    def test_scan_prunes_clinic_grids(self, monkeypatch):
+        # Clinic-like assessments: a scan that fell back to scoring every grid
+        # point would score over 6 times the bound.
+        points = []
+        line_terms = backends.line_terms
+
+        def count(u, v, j, blind, out):
+            points.append(j.size)
+            return line_terms(u, v, j, blind, out)
+
+        monkeypatch.setattr(backends, "line_terms", count)
+        rng = np.random.default_rng(21)
+        solves = 200
+        for _ in range(solves):
+            u, v = rng.random(2).tolist()
+            if rng.random() < 0.08:  # a zero-width interval
+                u = float(rng.integers(0, 2))
+            p = [*range(1, 11), CHEBYSHEV][rng.integers(0, 11)]
+            lam = rng.integers(0, 21) / 20
+            patient_pain = normalize_patient_score(rng.integers(0, 11, 7).tolist())
+            solve_programming1(u, v, patient_pain, DistanceParams(p=p, lam=lam))
+        assert sum(points) <= 0.15 * solves * pain.DEFAULT_GRID_POINTS
 
 
 # Widths down to the smallest subnormal, whose step underflows to 0.
