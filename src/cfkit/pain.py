@@ -264,7 +264,7 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
 
 
 def _scan(ws, u, v, target, code, lams, blind, flat) -> tuple[np.ndarray, np.ndarray]:
-    """Each lambda's grid argmin of ``(target - s)**2`` and the score there, scoring only what can win.
+    """Each lambda's grid argmin of ``(target - s)**2``, and the score there, scoring what can win.
 
     ``ws.grid`` holds the grid; returns grid indices and scores.  The grid
     splits into blocks of ``_SPAN`` points between endpoints ``ws.ends``,
