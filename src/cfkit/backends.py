@@ -22,9 +22,10 @@ The score splits into a lambda-free and a per-lambda half.
 returns the Minkowski norm and the Chebyshev term of each row to the worst
 anchor ``(0, 1, 0, 0)`` and to the best anchor ``(1, 0, 0, 0)``; the two
 anchors share the ``|j|**p`` and ``|h|**p`` powers.  ``combine(parts, lam)``
-mixes them into the two combined distances ``lam * norm + (1 - lam) *
-chebyshev``, and ``ratio`` turns those into the score.  A caller that
-scores the same rows under many lambdas computes the parts once.
+mixes them into the two combined distances with ``mix``, the one place that
+computes ``lam * norm + (1 - lam) * cheb`` for every caller, and ``ratio``
+turns those into the score.  A caller that scores the same rows under many
+lambdas computes the parts once.
 
 The terms come from one of two builders.  ``anchor_parts(rows, p_code)``
 takes them of ``(n, 4)`` component rows and is the ``terms_parts`` of
@@ -210,24 +211,29 @@ def terms_parts(t: np.ndarray, p_code: int, out=None, scratch=None) -> tuple[np.
     return norm_worst, cheb_worst, norm_best, cheb_best
 
 
+def mix(lam, norm, cheb, out=None, tmp=None) -> np.ndarray:
+    """The combined distance ``lam * norm + (1 - lam) * cheb``, into ``out`` when given.
+
+    ``lam`` is one value or an array that broadcasts.  ``tmp`` takes the
+    second product; ``out`` may be ``norm`` and ``tmp`` may be ``cheb``.
+    """
+    out = np.multiply(lam, norm, out=out)
+    out += np.multiply(1.0 - lam, cheb, out=tmp)
+    return out
+
+
 def combine(parts, lam, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Combined distances ``lam * norm + (1 - lam) * cheb`` to the worst and the best anchor.
+    """``mix`` of the parts to the worst and to the best anchor.
 
     ``parts`` is a ``terms_parts`` result; ``lam`` is one balance value or
-    an array with one value per row.  ``out``, when given, is a ``(3, n)``
-    array: the two distances go to its first two rows, and the third is
-    scratch.
+    an array that broadcasts against the parts.  ``out``, when given, is a
+    ``(3, n)`` array: the two distances go to its first two rows, and the
+    third is scratch.
     """
     norm_worst, cheb_worst, norm_best, cheb_best = parts
-    lam = np.asarray(lam, dtype=np.float64)
-    oml = 1.0 - lam
     d_worst, d_best, tmp = (None, None, None) if out is None else out
-    d_worst = np.multiply(lam, norm_worst, out=d_worst)
-    tmp = np.multiply(oml, cheb_worst, out=tmp)
-    d_worst += tmp
-    d_best = np.multiply(lam, norm_best, out=d_best)
-    d_best += np.multiply(oml, cheb_best, out=tmp)
-    return d_worst, d_best
+    return (mix(lam, norm_worst, cheb_worst, d_worst, tmp),
+            mix(lam, norm_best, cheb_best, d_best, tmp))
 
 
 def ratio(distances, out=None) -> np.ndarray:

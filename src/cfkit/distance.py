@@ -91,33 +91,35 @@ def component_rows(fs) -> np.ndarray:
     return np.array([[f.u_star, f.v_star, f.j, f.hesitancy] for f in fs]).reshape(-1, 4)
 
 
+def check_lambdas(values) -> np.ndarray:
+    """The balance values of a lambda grid as ``DistanceParams`` checks them, ``-0.0`` kept."""
+    return np.array([DistanceParams(lam=float(lam)).lam for lam in values])
+
+
 def _pair(f1, f2):
     return component_row(f1).reshape(1, 4), component_row(f2).reshape(1, 4)
 
 
 def legacy_minkowski(f1: CognitiveFuzzyNumber, f2: CognitiveFuzzyNumber, p=1) -> float:
     """Minkowski distance over ``(u*, v*, j)``, without the hesitancy term."""
-    a, b = _pair(f1, f2)
-    return float(backends.legacy_pairwise(a, b, order_code(p))[0])
+    return float(pairwise("legacy", *_pair(f1, f2), DistanceParams(p=p))[0])
 
 
 def cf_im(f1: CognitiveFuzzyNumber, f2: CognitiveFuzzyNumber, p=1) -> float:
     """Improved Minkowski distance over all four degree components."""
-    a, b = _pair(f1, f2)
-    return float(backends.cfim_pairwise(a, b, order_code(p))[0])
+    return float(pairwise("im", *_pair(f1, f2), DistanceParams(p=p))[0])
 
 
 def cf_h(f1: CognitiveFuzzyNumber, f2: CognitiveFuzzyNumber) -> float:
     """Hausdorff distance ``max(|u1* - u2*|, |v1* - v2*|)``."""
-    a, b = _pair(f1, f2)
-    return float(backends.cfh_pairwise(a, b)[0])
+    return float(pairwise("h", *_pair(f1, f2), DistanceParams())[0])
 
 
 def pairwise(measure: str, a, b, params: DistanceParams) -> np.ndarray:
     """Row-wise distances between ``(n, 4)`` component rows ``a`` and ``b``.
 
     ``measure`` is one of ``MEASURES``, naming ``legacy_minkowski``,
-    ``cf_im``, ``cf_h`` and ``cf_c`` in that order.
+    ``cf_im``, ``cf_h`` and ``cf_c`` in that order, each a one-row call of it.
     """
     code = order_code(params.p)
     if measure == "legacy":
@@ -127,15 +129,14 @@ def pairwise(measure: str, a, b, params: DistanceParams) -> np.ndarray:
     if measure == "h":
         return backends.cfh_pairwise(a, b)
     if measure == "c":
-        lam = params.lam
-        return lam * backends.cfim_pairwise(a, b, code) + (1.0 - lam) * backends.cfh_pairwise(a, b)
+        norm, cheb = backends.cfim_pairwise(a, b, code), backends.cfh_pairwise(a, b)
+        return backends.mix(params.lam, norm, cheb, out=norm, tmp=cheb)
     raise OutOfRangeError(f"measure must be one of {', '.join(MEASURES)}, got {measure!r}")
 
 
 def cf_c(f1: CognitiveFuzzyNumber, f2: CognitiveFuzzyNumber, params: DistanceParams) -> float:
     """Combined distance ``lam * cf_im + (1 - lam) * cf_h``."""
-    a, b = _pair(f1, f2)
-    return float(pairwise("c", a, b, params)[0])
+    return float(pairwise("c", *_pair(f1, f2), params)[0])
 
 
 def interval_hausdorff(a: IntervalForm, b: IntervalForm) -> float:

@@ -17,10 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import backends
 from .cfn import CognitiveFuzzyNumber
-from .distance import DistanceParams, component_rows, order_code
-from .errors import DegenerateDenominatorError
+from .distance import check_lambdas, component_rows, order_code
 from .pain import legacy_comparison_sweep, sensitivity_sweep
 from .perturbation import (
     DEFAULT_SEED,
@@ -29,7 +27,7 @@ from .perturbation import (
     lambda_trend,
     run_study,
 )
-from .score import DEGENERATE_TOL
+from .score import scores
 
 DEMO_PAIR = (
     CognitiveFuzzyNumber(0.8, 0.4, 0.32),
@@ -74,27 +72,16 @@ def fig3_rows() -> list[tuple]:
 def score_rows(fs) -> list[tuple]:
     """``(lambda, p, s(f) for f in fs)`` over lambda 0..1 (101 points) x p 1..10.
 
-    Per p, one ``anchor_parts`` call on the distinct rows and one ``combine``
-    with lambda as a column score every (lambda, f) pair by broadcasting;
-    each value equals scalar ``score`` bit for bit.
+    Per p, one ``scores`` call with lambda as a column scores every
+    (lambda, f) pair by broadcasting; each value equals scalar ``score`` bit
+    for bit.
     """
     fs = tuple(fs)
-    lams = [DistanceParams(lam=float(lam)).lam for lam in np.linspace(0.0, 1.0, 101)]
+    lams = check_lambdas(np.linspace(0.0, 1.0, 101))
     rows = component_rows(fs)
-    lam_col = np.array(lams)[:, None]
-    scores = {}
-    for p in range(1, 11):
-        d_worst, d_best = backends.combine(backends.anchor_parts(rows, order_code(p)), lam_col)
-        denom = d_worst + d_best
-        degenerate = denom < DEGENERATE_TOL
-        if degenerate.any():
-            i = int(degenerate.argmax())
-            raise DegenerateDenominatorError(
-                f"score normalizer collapsed to {float(denom.flat[i])!r} for {fs[i % len(fs)]}"
-            )
-        scores[p] = (d_worst / denom).tolist()
+    by_p = {p: scores(rows, order_code(p), lams[:, None], fs)[0].tolist() for p in range(1, 11)}
     return [
-        (lam, p) + tuple(scores[p][i]) for i, lam in enumerate(lams) for p in range(1, 11)
+        (lam, p) + tuple(by_p[p][i]) for i, lam in enumerate(lams.tolist()) for p in range(1, 11)
     ]
 
 
@@ -137,15 +124,13 @@ def write_study(fh, result: StudyResult) -> None:
     One row per (trial, p, lambda), in that order, with the bytes
     ``write_csv`` gives ``(i, epsilon, p, lambda, *cell)`` rows.  Trials go
     out in blocks of about ``_BLOCK_ROWS`` rows, one ``fh.write`` each, so
-    the text held at once is bounded by the block.  Each distinct column is
+    the text held at once is bounded by the block.  Each stored column is
     formatted once: ``d_h`` and ``delta_d_h`` per trial, ``d_m`` and
     ``delta_d_m`` per p, ``d_c`` and ``delta_d_c`` per (p, lambda).
     """
     p_values, lams = result.config.p_values, result.config.lambda_values
     n_cells = len(p_values) * len(lams)
     step = max(1, _BLOCK_ROWS // n_cells)
-    # run_study copies d_h into every cell and d_m into every cell of its p
-    first = result.columns[(p_values[0], lams[0])]
     fh.write(",".join(STUDY_HEADER) + "\n")
     for start in range(0, len(result.epsilons), step):
         block = slice(start, start + step)
@@ -154,19 +139,18 @@ def write_study(fh, result: StudyResult) -> None:
             return map(repr, column[block].tolist())
 
         trial = [f"{i},{e}," for i, e in zip(range(start, start + step), text(result.epsilons))]
-        d_h, delta_h = list(text(first[:, 1])), list(text(first[:, 4]))
+        d_h, delta_h = list(text(result.d_h)), list(text(result.delta_d_h))
         lines = [""] * (len(trial) * n_cells)
         k = 0
         for p in p_values:
-            cols = result.columns[(p, lams[0])]
-            left = [f"{m},{h}," for m, h in zip(text(cols[:, 0]), d_h)]
-            right = [f",{m},{h}," for m, h in zip(text(cols[:, 3]), delta_h)]
+            left = [f"{m},{h}," for m, h in zip(text(result.d_m[p]), d_h)]
+            right = [f",{m},{h}," for m, h in zip(text(result.delta_d_m[p]), delta_h)]
             for lam in lams:
-                cols = result.columns[(p, lam)]
                 cell = f"{p},{lam},"
+                d_c, delta_c = text(result.d_c[(p, lam)]), text(result.delta_d_c[(p, lam)])
                 lines[k::n_cells] = [
                     f"{t}{cell}{a}{c}{b}{dc}\n"
-                    for t, a, c, b, dc in zip(trial, left, text(cols[:, 2]), right, text(cols[:, 5]))
+                    for t, a, c, b, dc in zip(trial, left, d_c, right, delta_c)
                 ]
                 k += 1
         fh.write("".join(lines))

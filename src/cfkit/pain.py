@@ -42,7 +42,7 @@ import numpy as np
 
 from . import backends
 from .cfn import joint_bounds
-from .distance import DistanceParams, order_code, parse_order
+from .distance import DistanceParams, check_lambdas, order_code, parse_order
 from .errors import (
     BadItemCountError,
     EmptyFeasibleRegionError,
@@ -160,8 +160,6 @@ class _Workspace:
     """The arrays of the grid scan for one grid size, reused by every solve in a thread."""
 
     def __init__(self, grid_points: int) -> None:
-        self.ramp = np.arange(grid_points, dtype=np.float64)
-        self.grid = np.empty(grid_points)
         # the pruning blocks' endpoints: every _SPAN-th grid point, then the last one
         self.ends = np.arange(0, grid_points + _SPAN - 1, _SPAN)
         self.ends[-1] = grid_points - 1
@@ -188,27 +186,28 @@ _workspaces = threading.local()
 
 def _workspace(grid_points: int) -> _Workspace:
     ws = getattr(_workspaces, "ws", None)
-    if ws is None or len(ws.grid) != grid_points:
+    if ws is None or ws.ends[-1] != grid_points - 1:
         ws = _workspaces.ws = _Workspace(grid_points)
     return ws
 
 
-def _linspace(ramp: np.ndarray, start: float, stop: float, out: np.ndarray) -> np.ndarray:
-    """``np.linspace(start, stop, len(ramp))`` written into ``out``, by linspace's own operations.
+def _grid_at(index, start: float, stop: float, grid_points: int, out=None) -> np.ndarray:
+    """``np.linspace(start, stop, grid_points)[index]``, by linspace's own operations.
 
-    ``ramp`` is ``np.arange(len(out), dtype=float)``.
+    Only the points at the integer array ``index`` are computed, into ``out``
+    when given, so a solve never fills the whole grid.
     """
-    div = len(ramp) - 1
+    div = grid_points - 1
     delta = stop - start
     step = delta / div
     if step == 0.0:
         # linspace's order for a width so small that its step underflows
-        np.divide(ramp, div, out=out)
+        out = np.divide(index, div, out=out)
         out *= delta
     else:
-        np.multiply(ramp, step, out=out)
+        out = np.multiply(index, step, out=out)
     out += start
-    out[-1] = stop
+    out[index == div] = stop
     return out
 
 
@@ -229,11 +228,12 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     zeroes the hesitancy column: with lambda = 1 that is the hesitancy-blind
     Minkowski score, bit for bit.
     """
-    ws = _workspace(grid_points)
-    grid = _linspace(ws.ramp, j_lo, j_hi, ws.grid)
     flat = j_hi - j_lo <= 0.0
-    k, s_opt = _scan(ws, u, v, target, code, lams, blind, flat)
-    j_opt = grid[k]
+    line = (j_lo, j_hi, grid_points)
+    k, s_opt = _scan(_workspace(grid_points), u, v, line, target, code, lams, blind, flat)
+    # each grid optimum, then its two neighbours, which bracket the refinement
+    at = np.minimum(np.maximum(k + np.array([[0], [-1], [1]]), 0), grid_points - 1)
+    j_opt, lo, hi = _grid_at(at, *line)
     if flat:
         return j_opt, s_opt
 
@@ -247,8 +247,6 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
         # bytes were produced this way.
         return np.float_power(target - s, 2), s
 
-    lo = grid[np.maximum(k - 1, 0)]
-    hi = grid[np.minimum(k + 1, grid_points - 1)]
     bound = [-1 if i == 0 else int(i == grid_points - 1) for i in k.tolist()]
     lo, hi = _refine(objective, lams, lo, hi, bound)
 
@@ -263,15 +261,16 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     return j_opt, s_opt
 
 
-def _scan(ws, u, v, target, code, lams, blind, flat) -> tuple[np.ndarray, np.ndarray]:
+def _scan(ws, u, v, line, target, code, lams, blind, flat) -> tuple[np.ndarray, np.ndarray]:
     """Each lambda's grid argmin of ``(target - s)**2``, and the score there, scoring what can win.
 
-    ``ws.grid`` holds the grid; returns grid indices and scores.  The grid
-    splits into blocks of ``_SPAN`` points between endpoints ``ws.ends``,
-    and the endpoints are scored first.  Their terms also bound every
-    block's interior terms: each line term is the absolute value of a
-    rounded linear function of ``j`` on a sorted grid, so along a block its
-    computed value lies between the values at the block's endpoints.  The
+    ``line`` is the grid's ``(j_lo, j_hi, grid_points)``; returns grid
+    indices and scores.  The grid splits into blocks of ``_SPAN`` points
+    between endpoints ``ws.ends``, and the endpoints are scored first.
+    Their terms also bound every block's interior terms: each line term is
+    the absolute value of a rounded linear function of ``j`` on a sorted
+    grid, so along a block its computed value lies between the values at
+    the block's endpoints.  The
     ``min`` and ``max`` of the two endpoints' terms go through
     ``terms_parts`` and ``combine`` like any row, and the score of every
     interior point then lies in ``[s_lo, s_hi]`` with ``s_lo = dw_lo / (dw_lo
@@ -285,7 +284,7 @@ def _scan(ws, u, v, target, code, lams, blind, flat) -> tuple[np.ndarray, np.nda
 
     Why the bounds hold for the computed scores, bit for bit:
 
-    - The grid is sorted (``_linspace`` is a rounded ``i * step + j_lo``
+    - The grid is sorted (``_grid_at`` is a rounded ``i * step + j_lo``
       ending on ``j_hi``), and each term is the absolute value of ``j`` or
       of one or two rounded additions of it: ``u - j``, ``u - j - 1``,
       ``v - j``, ``v - j - 1`` and ``1 - u - v + j``, with ``j <= min(u,
@@ -319,7 +318,7 @@ def _scan(ws, u, v, target, code, lams, blind, flat) -> tuple[np.ndarray, np.nda
     ends = ws.ends[:1] if flat else ws.ends
     e = len(ends)
     t = ws.bounds[:, :3 * e - 2]
-    backends.line_terms(u, v, np.take(ws.grid, ends, out=ws.points[:e]), blind, t[:, :e])
+    backends.line_terms(u, v, _grid_at(ends, *line, out=ws.points[:e]), blind, t[:, :e])
     np.minimum(t[:, :e - 1], t[:, 1:e], out=t[:, e:2 * e - 1])
     np.maximum(t[:, :e - 1], t[:, 1:e], out=t[:, 2 * e - 1:])
     parts = backends.terms_parts(t, code)
@@ -345,7 +344,7 @@ def _scan(ws, u, v, target, code, lams, blind, flat) -> tuple[np.ndarray, np.nda
     if n <= 0:
         return k, s_opt
     index = index[:n]
-    j = np.take(ws.grid, index, out=ws.points[:n])
+    j = _grid_at(index, *line, out=ws.points[:n])
     for b in range(0, n, _BLOCK):
         m = min(_BLOCK, n - b)
         backends.terms_parts(
@@ -478,13 +477,14 @@ def _check_grid(grid_points) -> None:
         raise OutOfRangeError(f"grid_points must be at least 101, got {grid_points}")
 
 
+def _recommendation(confusion: float, threshold: float) -> str:
+    return RECOMMEND_SECOND_NURSE if confusion >= threshold else RECOMMEND_ACCEPT
+
+
 def _solution(j_opt, s_opt, patient_pain, j_lo, j_hi, confusion_threshold) -> PainSolution:
     nurse_pain = 1.0 - s_opt
     width = j_hi - j_lo
     confusion = 0.0 if width <= 0.0 else min(1.0, max(0.0, (j_opt - j_lo) / width))
-    recommendation = (
-        RECOMMEND_SECOND_NURSE if confusion >= confusion_threshold else RECOMMEND_ACCEPT
-    )
     return PainSolution(
         j_opt=j_opt,
         s_opt=s_opt,
@@ -492,7 +492,7 @@ def _solution(j_opt, s_opt, patient_pain, j_lo, j_hi, confusion_threshold) -> Pa
         patient_pain=patient_pain,
         gap=nurse_pain - patient_pain,
         confusion_ratio=confusion,
-        recommendation=recommendation,
+        recommendation=_recommendation(confusion, confusion_threshold),
     )
 
 
@@ -532,11 +532,7 @@ def interpret(
     larger of the nurse and patient scores, so concealment never lowers it.
     """
     threshold = _check_unit(confusion_threshold, "threshold")
-    recommendation = (
-        RECOMMEND_SECOND_NURSE
-        if solution.confusion_ratio >= threshold
-        else RECOMMEND_ACCEPT
-    )
+    recommendation = _recommendation(solution.confusion_ratio, threshold)
     return Interpretation(recommendation, max(solution.nurse_pain, solution.patient_pain))
 
 
@@ -566,7 +562,7 @@ def sensitivity_sweep(
     _check_grid(grid_points)
     target = 1.0 - _check_unit(patient_pain, "patient pain")
     j_lo, j_hi = joint_bounds(u, v)
-    lams = np.array([DistanceParams(lam=float(lam)).lam for lam in lambda_grid])
+    lams = check_lambdas(lambda_grid)
     rows = []
     for p in p_list:
         j_opt, s_opt = _solve(u, v, j_lo, j_hi, target, order_code(p), lams, grid_points)

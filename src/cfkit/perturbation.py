@@ -23,7 +23,7 @@ import numpy as np
 
 from . import backends
 from .cfn import CognitiveFuzzyNumber, _max, _min, validate_rows
-from .distance import DistanceParams, component_row, order_code
+from .distance import DistanceParams, cf_h, cf_im, check_lambdas, component_row, order_code
 from .errors import EmptyRangeError, OutOfEpsilonRangeError, OutOfRangeError
 
 DEFAULT_SEED = 42
@@ -121,26 +121,56 @@ class CellSummary:
 
 @dataclass(frozen=True, eq=False)
 class StudyResult:
-    """A study held as arrays: one draw per trial and one column block per cell.
+    """A study held as arrays over the trials, each distinct column once.
 
-    ``epsilons[i]`` is the draw of trial ``i``.  ``columns[(p, lam)]`` is a
-    ``(trials, 6)`` array whose columns follow the ``TrialDistances`` fields.
+    ``epsilons`` holds the draws, ``d_h`` and ``delta_d_h`` one column for
+    the study, ``d_m[p]`` and ``delta_d_m[p]`` one per order, and
+    ``d_c[(p, lam)]`` and ``delta_d_c[(p, lam)]`` one per cell.  ``columns``,
+    ``records`` and ``summary`` are views built from them on each access.
     """
 
     config: PerturbationConfig
     epsilons: np.ndarray
-    columns: dict[tuple, np.ndarray]
-    summary: dict[tuple, CellSummary]
+    d_h: np.ndarray
+    delta_d_h: np.ndarray
+    d_m: dict
+    delta_d_m: dict
+    d_c: dict[tuple, np.ndarray]
+    delta_d_c: dict[tuple, np.ndarray]
+
+    @property
+    def columns(self) -> dict[tuple, np.ndarray]:
+        """Per (p, lambda) cell, a ``(trials, 6)`` array of the ``TrialDistances`` fields."""
+        return {
+            (p, lam): np.column_stack([
+                self.d_m[p], self.d_h, self.d_c[(p, lam)],
+                self.delta_d_m[p], self.delta_d_h, self.delta_d_c[(p, lam)],
+            ])
+            for p, lam in self.d_c
+        }
 
     @property
     def records(self) -> list[TrialRecord]:
-        """One ``TrialRecord`` per trial, built from the columns on each access."""
-        keys = list(self.columns)
-        cells = np.stack([self.columns[key] for key in keys], axis=1).tolist()
+        """One ``TrialRecord`` per trial."""
+        columns = self.columns
+        cells = np.stack(list(columns.values()), axis=1).tolist()
         return [
-            TrialRecord(i, e, {key: TrialDistances(*c) for key, c in zip(keys, row)})
+            TrialRecord(i, e, {key: TrialDistances(*c) for key, c in zip(columns, row)})
             for i, (e, row) in enumerate(zip(self.epsilons.tolist(), cells))
         ]
+
+    @property
+    def summary(self) -> dict[tuple, CellSummary]:
+        """One ``CellSummary`` per (p, lambda) cell."""
+        summary = {}
+        for (p, lam), c in self.delta_d_c.items():
+            m, h = self.delta_d_m[p], self.delta_d_h
+            summary[(p, lam)] = CellSummary(
+                *(float(x.mean()) for x in (m, h, c)), *(float(x.max()) for x in (m, h, c)),
+                n_m_ge_h=int(np.count_nonzero(m >= h)),
+                n_m_ge_c_ge_h=int(np.count_nonzero((m >= c) & (c >= h))),
+            )
+        return summary
 
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants.
@@ -250,43 +280,21 @@ def run_study(config: PerturbationConfig) -> StudyResult:
         perturb(f1, eps[int(bad.argmax())])  # raises, with the constructor's message
 
     # The unperturbed first CFN rides along as the last row, so each measure
-    # is one kernel call.
+    # is one kernel call and each combined distance one mix.
     rows = np.vstack([perturbed, component_row(f1)])
     base2 = component_row(f2).reshape(1, 4)
 
-    d_h = backends.cfh_pairwise(rows, base2)
-    d_h, d_h0 = d_h[:-1], float(d_h[-1])
-    delta_h = np.abs(d_h - d_h0)
+    def split(d):  # the trials' distances, and their deviations from the baseline's
+        return d[:-1], np.abs(d[:-1] - d[-1])
 
-    d_m, d_m0, delta_m = {}, {}, {}
+    h = backends.cfh_pairwise(rows, base2)
+    d_m, delta_m, d_c, delta_c = {}, {}, {}, {}
     for p in config.p_values:
-        d = backends.cfim_pairwise(rows, base2, order_code(p))
-        d_m[p], d_m0[p] = d[:-1], float(d[-1])
-        delta_m[p] = np.abs(d_m[p] - d_m0[p])
-
-    columns = {}
-    summary = {}
-    for p in config.p_values:
+        m = backends.cfim_pairwise(rows, base2, order_code(p))
+        d_m[p], delta_m[p] = split(m)
         for lam in config.lambda_values:
-            d_c = lam * d_m[p] + (1.0 - lam) * d_h
-            d_c0 = lam * d_m0[p] + (1.0 - lam) * d_h0
-            delta_c = np.abs(d_c - d_c0)
-            columns[(p, lam)] = np.column_stack([d_m[p], d_h, d_c, delta_m[p], delta_h, delta_c])
-            m_ge_h = delta_m[p] >= delta_h
-            summary[(p, lam)] = CellSummary(
-                mean_delta_m=float(delta_m[p].mean()),
-                mean_delta_h=float(delta_h.mean()),
-                mean_delta_c=float(delta_c.mean()),
-                max_delta_m=float(delta_m[p].max()),
-                max_delta_h=float(delta_h.max()),
-                max_delta_c=float(delta_c.max()),
-                n_m_ge_h=int(np.count_nonzero(m_ge_h)),
-                n_m_ge_c_ge_h=int(
-                    np.count_nonzero((delta_m[p] >= delta_c) & (delta_c >= delta_h))
-                ),
-            )
-
-    return StudyResult(config=config, epsilons=eps, columns=columns, summary=summary)
+            d_c[(p, lam)], delta_c[(p, lam)] = split(backends.mix(lam, m, h))
+    return StudyResult(config, eps, *split(h), d_m, delta_m, d_c, delta_c)
 
 
 class TrendRow(NamedTuple):
@@ -302,13 +310,7 @@ def lambda_trend(pair, p, lambda_grid) -> list[TrendRow]:
     ``d_m`` and ``d_h`` are constant in lambda; ``d_c`` runs affinely from
     ``d_h`` at lambda 0 to ``d_m`` at lambda 1.
     """
-    f1, f2 = pair
-    a = component_row(f1).reshape(1, 4)
-    b = component_row(f2).reshape(1, 4)
-    d_m = float(backends.cfim_pairwise(a, b, order_code(p))[0])
-    d_h = float(backends.cfh_pairwise(a, b)[0])
-    rows = []
-    for lam in lambda_grid:
-        lam = DistanceParams(lam=float(lam)).lam
-        rows.append(TrendRow(lam, d_m, d_h, lam * d_m + (1.0 - lam) * d_h))
-    return rows
+    d_m, d_h = cf_im(*pair, p), cf_h(*pair)
+    lams = check_lambdas(lambda_grid)
+    d_c = backends.mix(lams, d_m, d_h).tolist()
+    return [TrendRow(lam, d_m, d_h, c) for lam, c in zip(lams.tolist(), d_c)]

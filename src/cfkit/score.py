@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import backends
 from .cfn import CognitiveFuzzyNumber
-from .distance import DistanceParams, component_row, order_code
+from .distance import DistanceParams, component_rows, order_code
 from .errors import DegenerateDenominatorError
 
 BEST_ANCHOR = CognitiveFuzzyNumber(1.0, 0.0, 0.0)
@@ -40,17 +40,27 @@ class ScoreResult:
     d_to_best: float
 
 
+def scores(rows, code: int, lam, fs) -> tuple:
+    """``(s, d_to_worst, d_to_best)`` arrays of the CFNs ``fs``, whose component rows are ``rows``.
+
+    ``lam`` is a balance value or an array that broadcasts.  A normalizer
+    below ``DEGENERATE_TOL`` raises ``DegenerateDenominatorError``.
+    """
+    d_worst, d_best = backends.combine(backends.anchor_parts(rows, code), lam)
+    denom = d_worst + d_best
+    degenerate = denom < DEGENERATE_TOL
+    if degenerate.any():
+        i = int(degenerate.argmax())
+        raise DegenerateDenominatorError(
+            f"score normalizer collapsed to {float(denom.flat[i])!r} for {fs[i % len(fs)]}"
+        )
+    return d_worst / denom, d_worst, d_best
+
+
 def score(f: CognitiveFuzzyNumber, params: DistanceParams) -> ScoreResult:
     """Combined-distance score of ``f`` under the given order and balance."""
-    parts = backends.anchor_parts(component_row(f).reshape(1, 4), order_code(params.p))
-    d_worst, d_best = backends.combine(parts, params.lam)
-    d_worst, d_best = float(d_worst[0]), float(d_best[0])
-    denom = d_worst + d_best
-    if denom < DEGENERATE_TOL:
-        raise DegenerateDenominatorError(
-            f"score normalizer collapsed to {denom!r} for {f}"
-        )
-    return ScoreResult(d_worst / denom, d_worst, d_best)
+    s, d_worst, d_best = scores(component_rows((f,)), order_code(params.p), params.lam, (f,))
+    return ScoreResult(float(s[0]), float(d_worst[0]), float(d_best[0]))
 
 
 def compare(f1: CognitiveFuzzyNumber, f2: CognitiveFuzzyNumber, params: DistanceParams) -> str:

@@ -298,8 +298,7 @@ class TestGridScan:
     @example(start=0.3, width=1e-16, grid_points=2049)
     def test_grid_is_linspace(self, start, width, grid_points):
         stop = min(1.0, start + width)
-        ramp = np.arange(grid_points, dtype=np.float64)
-        got = pain._linspace(ramp, start, stop, np.empty(grid_points))
+        got = pain._grid_at(np.arange(grid_points), start, stop, grid_points)
         assert got.tobytes() == np.linspace(start, stop, grid_points).tobytes()
 
     @pytest.mark.parametrize("grid_points", [2047, 2048, 2049, pain._BLOCK + 1, 10001])

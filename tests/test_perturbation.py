@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -141,6 +142,25 @@ class TestRunStudy:
             monkeypatch.setattr(backends, name, counting(getattr(backends, name)))
         run_study(PerturbationConfig(base_pair=PAIR, trials=30, seed=5, p_values=(1, 64)))
         assert sorted(calls) == [("cfh_pairwise", 31), ("cfim_pairwise", 31), ("cfim_pairwise", 31)]
+
+    def test_stores_each_distinct_column_once(self):
+        # d_h and delta_d_h once, d_m and delta_d_m per p, d_c and delta_d_c per (p, lambda)
+        n_p, n_lam, trials = 3, 4, 40
+        config = PerturbationConfig(
+            base_pair=PAIR, trials=trials, seed=9, p_values=(1, 3, CHEBYSHEV),
+            lambda_values=(0.0, 0.25, 0.5, 1.0),
+        )
+        result = run_study(config)
+        arrays = []
+        for item in fields(result):
+            value = getattr(result, item.name)
+            arrays += value.values() if isinstance(value, dict) else [value]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        columns = 1 + 2 + 2 * n_p + 2 * n_p * n_lam
+        assert sum(a.nbytes for a in arrays) == columns * trials * 8
+        # a view keeps at most its baseline row past the trials alive
+        owners = {id(o): o.nbytes for o in (a if a.base is None else a.base for a in arrays)}
+        assert sum(owners.values()) <= columns * (trials + 1) * 8
 
     def test_reproducible(self, study):
         again = run_study(PerturbationConfig(base_pair=PAIR, trials=100, seed=1234))

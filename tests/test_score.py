@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfkit import (
     BEST_ANCHOR,
@@ -10,8 +11,11 @@ from cfkit import (
     WORST_ANCHOR,
     cf_c,
     compare,
+    joint_bounds,
+    lambda_trend,
     score,
 )
+from cfkit.distance import component_rows, pairwise
 from cfkit.score import EQUAL, FIRST_BETTER, SECOND_BETTER
 
 from helpers import cfns, random_cfns
@@ -88,3 +92,49 @@ class TestCompare:
             assert backward == EQUAL
         else:
             assert {forward, backward} == {FIRST_BETTER, SECOND_BETTER}
+
+
+@st.composite
+def near_anchor_cfns(draw):
+    """A CFN whose u and v lie within 1e-5 of an anchor's.
+
+    Every term of its distance to that anchor is below about 2e-5, so the
+    power sums at high orders underflow and ``_finish`` rescues them.
+    """
+    near, far = draw(st.floats(0.0, 1e-5)), 1.0 - draw(st.floats(0.0, 1e-5))
+    u, v = (near, far) if draw(st.booleans()) else (far, near)
+    lo, hi = joint_bounds(u, v)
+    return CFN(u, v, draw(st.floats(lo, hi)) if hi > lo else hi)
+
+
+ANY_CFNS = st.one_of(cfns(), near_anchor_cfns())
+ORDERS = st.integers(0, 64).map(lambda code: CHEBYSHEV if code == 0 else code)
+LAMBDAS = st.one_of(st.sampled_from((-0.0, 0.0, 1.0)), st.floats(0.0, 1.0))
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestOneCombinedDistance:
+    """Every path to a combined distance gives ``cf_c``'s bits."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(ANY_CFNS, ANY_CFNS, ORDERS, LAMBDAS)
+    @example(CFN(1e-6, 1.0 - 1e-6, 0.0), CFN(1.0, 1e-7, 1e-7), 64, -0.0)
+    @example(CFN(0.8, 0.4, 0.32), CFN(0.1, 0.9, 0.09), CHEBYSHEV, 0.35)
+    def test_score_trend_and_pairwise_match_cf_c(self, f, g, p, lam):
+        params = DistanceParams(p=p, lam=lam)
+        result = score(f, params)
+        assert bits(result.d_to_worst) == bits(cf_c(f, WORST_ANCHOR, params))
+        assert bits(result.d_to_best) == bits(cf_c(f, BEST_ANCHOR, params))
+
+        grid = (lam, 0.0, 1.0)
+        for row, lam_i in zip(lambda_trend((f, g), p, grid), grid):
+            assert bits(row.lam) == bits(lam_i)  # -0.0 stays -0.0
+            assert bits(row.d_c) == bits(cf_c(f, g, DistanceParams(p=p, lam=lam_i)))
+
+        firsts, seconds = (f, g, f, f), (g, f, WORST_ANCHOR, BEST_ANCHOR)
+        batch = pairwise("c", component_rows(firsts), component_rows(seconds), params)
+        for d, a, b in zip(batch.tolist(), firsts, seconds):
+            assert bits(d) == bits(cf_c(a, b, params))
