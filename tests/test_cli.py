@@ -267,6 +267,30 @@ class TestSimulateCommand:
         assert code == 1
         assert "CFKIT_SEED" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("distance", "--measure", "h", "0.8,0.4,0.32", "0.1,0.9,0.09"),
+            ("score", "0.8,0.4,0.32"),
+            ("simulate", "--pair", "1,0,0", "0,1,0", "--trials", "2", "--seed", "5"),
+        ],
+        ids=["distance", "score", "simulate-with-seed"],
+    )
+    def test_bad_env_seed_not_read(self, capsys, monkeypatch, argv):
+        """CFKIT_SEED is read only by a command that takes a seed and was given no --seed."""
+        monkeypatch.setenv("CFKIT_SEED", "not-a-number")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        monkeypatch.delenv("CFKIT_SEED")
+        assert run(capsys, *argv) == (0, out, "")
+
+    def test_bad_env_seed_export_figures(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("CFKIT_SEED", "not-a-number")
+        assert run(capsys, "export-figures", str(tmp_path / "a"), "--seed", "7")[0] == 0
+        code, out, err = run(capsys, "export-figures", str(tmp_path / "b"))
+        assert (code, out) == (1, "")
+        assert "CFKIT_SEED" in json.loads(err)["message"]
+
 
 class TestPainEvalCommand:
     CASE = {

@@ -84,6 +84,14 @@ STDOUT_SHA256 = {
         ("distance", "--measure", "h", "--batch", str(FIXTURES / "pairs.csv")),
         "242f07dcc8861acaa3d9a0628718fcd1a296aa260c0c032bc5d6d85bad6b66dc",
     ),
+    # Input that float() reads and a plain decimal parser does not: quoted
+    # fields, spaces, underscores, CRLF, a lone CR, blank lines, +.5, -0.0,
+    # subnormals and no final newline.
+    "distance-batch-awkward": (
+        ("distance", "--measure", "c", "--p", "3", "--lambda", "0.5",
+         "--batch", str(FIXTURES / "pairs_awkward.csv")),
+        "93ee1dca070679a235181d3e4b658d57a324fbc76d085659709b5a9d63f246ce",
+    ),
     "simulate": (
         ("simulate", "--pair", *DEMO_PAIR, "--trials", "20", "--seed", "42"),
         "07bb7c192226262050e45c9cc43e96da0109e108dc3c837552cbb44ced72cd83",
