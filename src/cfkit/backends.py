@@ -31,8 +31,7 @@ The terms come from one of two builders.  ``anchor_parts(rows, p_code)``
 takes them of ``(n, 4)`` component rows and is the ``terms_parts`` of
 those.  ``line_terms`` writes them straight from ``(u, v, j)`` for the pain
 solver, whose rows are the CFNs of fixed similarities and a varying joint
-degree.  ``terms_parts``, ``combine`` and ``ratio`` take ``out=`` arrays
-too, so the solver's grid scan runs in reused memory.
+degree.  Every kernel returns new arrays and keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -67,42 +66,26 @@ def _root(s: np.ndarray, p: int) -> np.ndarray:
     return s
 
 
-def _ipow(x: np.ndarray, p: int, scratch=None) -> np.ndarray:
+def _ipow(x: np.ndarray, p: int) -> np.ndarray:
     """``x**p`` for an integer ``p >= 1`` by square-and-multiply.
 
     The first factor is taken as it is rather than multiplied into 1.0, and
-    the squaring stops at the top set bit of ``p``.  ``scratch``, a pair of
-    arrays shaped like ``x``, takes every product in place of a new array;
-    the result is then ``x`` itself or one of the pair.
+    the squaring stops at the top set bit of ``p``.
     """
     out = None
     while True:
         if p & 1:
-            out = x if out is None else np.multiply(out, x, out=_spare(scratch, out, x))
+            out = x if out is None else out * x
         p >>= 1
         if not p:
             return out
-        x = np.multiply(x, x, out=_spare(scratch, x, out))
+        x = x * x
 
 
-def _spare(scratch, dst, keep):
-    """The scratch array a product replacing ``dst`` may overwrite without touching ``keep``.
-
-    That is ``dst`` itself when it is scratch and not ``keep``, else the
-    other array of the pair; ``None``, a new array, without scratch.
-    """
-    if scratch is None:
-        return None
-    a, b = scratch
-    if dst is not keep and (dst is a or dst is b):
-        return dst
-    return b if keep is a else a
-
-
-def _sum(terms, p: int, out=None) -> np.ndarray:
-    """Fold ``terms`` left to right, into ``out`` when given: max for Chebyshev, else addition."""
+def _sum(terms, p: int) -> np.ndarray:
+    """Fold ``terms`` left to right: max for Chebyshev, else addition."""
     op = np.maximum if p == CHEBYSHEV_CODE else np.add
-    out = op(terms[0], terms[1], out=out)
+    out = op(terms[0], terms[1])
     for t in terms[2:]:
         op(out, t, out=out)
     return out
@@ -169,75 +152,53 @@ def anchor_parts(rows, p_code: int) -> tuple[np.ndarray, ...]:
     return terms_parts(np.abs(_rows(rows).T[_ANCHOR_COLUMNS] - _ANCHOR_VALUES), p_code)
 
 
-def line_terms(u: float, v: float, j: np.ndarray, blind: bool, out: np.ndarray) -> np.ndarray:
-    """The six anchor terms of the rows ``(u - j, v - j, j, 1 - u - v + j)``, written into ``out``.
+def line_terms(u: float, v: float, j: np.ndarray, blind: bool) -> np.ndarray:
+    """The six anchor terms of the rows ``(u - j, v - j, j, 1 - u - v + j)``.
 
     These rows are the CFNs with similarities ``u`` and ``v`` and joint
-    degree ``j``; ``blind`` zeroes their hesitancy.  ``out`` is a
+    degree ``j``; ``blind`` zeroes their hesitancy.  The result is a
     ``(6, len(j))`` array.  The terms are, bit for bit, the ones
     ``anchor_parts`` takes of the same rows: subtracting 0 changes no bits
     that survive the absolute value.
     """
-    np.subtract(u, j, out=out[0])
-    np.subtract(out[0], 1.0, out=out[4])
-    np.subtract(v, j, out=out[5])
-    np.subtract(out[5], 1.0, out=out[1])
-    np.copyto(out[2], j)
-    if blind:
-        out[3] = 0.0
-    else:
-        np.add(1.0 - u - v, j, out=out[3])
-    return np.abs(out, out=out)
+    us, vs = u - j, v - j
+    h = np.zeros_like(j) if blind else 1.0 - u - v + j
+    t = np.stack([us, vs - 1.0, j, h, us - 1.0, vs])
+    return np.abs(t, out=t)
 
 
-def terms_parts(t: np.ndarray, p_code: int, out=None, scratch=None) -> tuple[np.ndarray, ...]:
-    """``anchor_parts`` of the ``(6, n)`` anchor terms ``t``.
-
-    With ``out``, a ``(4, n)`` array, and ``scratch``, a pair of arrays
-    shaped like ``t`` for the powers, the parts are written into ``out`` and
-    the kernel allocates nothing of size ``n`` outside the underflow rescue.
-    """
+def terms_parts(t: np.ndarray, p_code: int) -> tuple[np.ndarray, ...]:
+    """``anchor_parts`` of the ``(6, n)`` anchor terms ``t``."""
     # Chebyshev (0) and p=1 aggregate the terms themselves.
-    tp = t if p_code <= 1 else _ipow(t, p_code, scratch)
-    norm_worst, cheb_worst, norm_best, cheb_best = (None,) * 4 if out is None else out
+    tp = t if p_code <= 1 else _ipow(t, p_code)
     norm_worst = _finish(
-        _sum((tp[0], tp[1], tp[2], tp[3]), p_code, norm_worst), (t[0], t[1], t[2], t[3]), p_code
+        _sum((tp[0], tp[1], tp[2], tp[3]), p_code), (t[0], t[1], t[2], t[3]), p_code
     )
-    cheb_worst = np.maximum(t[0], t[1], out=cheb_worst)
     norm_best = _finish(
-        _sum((tp[4], tp[5], tp[2], tp[3]), p_code, norm_best), (t[4], t[5], t[2], t[3]), p_code
+        _sum((tp[4], tp[5], tp[2], tp[3]), p_code), (t[4], t[5], t[2], t[3]), p_code
     )
-    cheb_best = np.maximum(t[4], t[5], out=cheb_best)
-    return norm_worst, cheb_worst, norm_best, cheb_best
+    return norm_worst, np.maximum(t[0], t[1]), norm_best, np.maximum(t[4], t[5])
 
 
-def mix(lam, norm, cheb, out=None, tmp=None) -> np.ndarray:
-    """The combined distance ``lam * norm + (1 - lam) * cheb``, into ``out`` when given.
+def mix(lam, norm, cheb) -> np.ndarray:
+    """The combined distance ``lam * norm + (1 - lam) * cheb``.
 
-    ``lam`` is one value or an array that broadcasts.  ``tmp`` takes the
-    second product; ``out`` may be ``norm`` and ``tmp`` may be ``cheb``.
+    ``lam`` is one value or an array that broadcasts.
     """
-    out = np.multiply(lam, norm, out=out)
-    out += np.multiply(1.0 - lam, cheb, out=tmp)
-    return out
+    return lam * norm + (1.0 - lam) * cheb
 
 
-def combine(parts, lam, out=None) -> tuple[np.ndarray, np.ndarray]:
+def combine(parts, lam) -> tuple[np.ndarray, np.ndarray]:
     """``mix`` of the parts to the worst and to the best anchor.
 
     ``parts`` is a ``terms_parts`` result; ``lam`` is one balance value or
-    an array that broadcasts against the parts.  ``out``, when given, is a
-    ``(3, n)`` array: the two distances go to its first two rows, and the
-    third is scratch.
+    an array that broadcasts against the parts.
     """
     norm_worst, cheb_worst, norm_best, cheb_best = parts
-    d_worst, d_best, tmp = (None, None, None) if out is None else out
-    return (mix(lam, norm_worst, cheb_worst, d_worst, tmp),
-            mix(lam, norm_best, cheb_best, d_best, tmp))
+    return mix(lam, norm_worst, cheb_worst), mix(lam, norm_best, cheb_best)
 
 
-def ratio(distances, out=None) -> np.ndarray:
-    """Score ``d_worst / (d_worst + d_best)`` of a ``combine`` result, into ``out`` when given."""
+def ratio(distances) -> np.ndarray:
+    """Score ``d_worst / (d_worst + d_best)`` of a ``combine`` result."""
     d_worst, d_best = distances
-    return np.divide(d_worst, np.add(d_worst, d_best, out=out), out=out)
-
+    return d_worst / (d_worst + d_best)

@@ -130,7 +130,7 @@ def pairwise(measure: str, a, b, params: DistanceParams) -> np.ndarray:
         return backends.cfh_pairwise(a, b)
     if measure == "c":
         norm, cheb = backends.cfim_pairwise(a, b, code), backends.cfh_pairwise(a, b)
-        return backends.mix(params.lam, norm, cheb, out=norm, tmp=cheb)
+        return backends.mix(params.lam, norm, cheb)
     raise OutOfRangeError(f"measure must be one of {', '.join(MEASURES)}, got {measure!r}")
 
 

@@ -17,24 +17,21 @@ give the score.  The grid scan returns the full scan's argmin bit for bit
 but scores only what could hold it: every ``_SPAN``-th grid point and the
 last one first, then the interior of a block between two of them only where
 interval bounds on the block's scores, from its endpoints' terms, could reach
-the best endpoint objective (see ``_scan``).  It runs in a per-thread
-workspace of preallocated arrays: a solve allocates nothing of the grid's
-size, so there is no freed heap top for glibc to trim and the next solve to
-page-fault back.  The refinement runs for all lambdas together.  A bracket
-at a bound of the grid, where most answers sit, first scores its whole path
-of ternary steps toward that bound in one kernel call (see ``_spine``); then
-each kernel call scores the whole depth-``_DEPTH`` tree of ternary steps
-below every live bracket, and a walk down the tree takes the steps that one
-call per step would take, bit for bit.  ``solve_programming1`` is the
-one-lambda case, ``sensitivity_sweep`` solves once per order over the whole
-lambda grid, and ``legacy_comparison_sweep`` scores rows with their
-hesitancy dropped at lambda = 1, which is the hesitancy-blind Minkowski
-score.
+the best endpoint objective (see ``_scan``); it scores the kept points at
+most ``_BLOCK`` per kernel call.  The refinement runs for all lambdas
+together.  A bracket at a bound of the grid, where most answers sit, first
+scores its whole path of ternary steps toward that bound in one kernel call
+(see ``_spine``); then each kernel call scores the whole depth-``_DEPTH``
+tree of ternary steps below every live bracket, and a walk down the tree
+takes the steps that one call per step would take, bit for bit.
+``solve_programming1`` is the one-lambda case, ``sensitivity_sweep`` solves
+once per order over the whole lambda grid, and ``legacy_comparison_sweep``
+scores rows with their hesitancy dropped at lambda = 1, which is the
+hesitancy-blind Minkowski score.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -43,12 +40,7 @@ import numpy as np
 from . import backends
 from .cfn import joint_bounds
 from .distance import DistanceParams, check_lambdas, order_code, parse_order
-from .errors import (
-    BadItemCountError,
-    EmptyFeasibleRegionError,
-    ItemOutOfRangeError,
-    OutOfRangeError,
-)
+from .errors import BadItemCountError, ItemOutOfRangeError, OutOfRangeError
 
 ITEM_COUNT = 7
 ITEM_MAX = 10
@@ -66,10 +58,14 @@ REFINE_TOL = 1e-8
 # 6.8%, 7.9% and 11.7% of the grid's points in all, and cost the same per
 # solve within the host's noise.
 _SPAN = 64
-# Kept grid points per kernel call of the grid scan.  The workspace keeps one
-# (6, _BLOCK) term buffer and two power buffers for it, 3 x 192 KiB, so even a
-# scan that keeps every block of a 10001-point grid takes 3 calls.
-_BLOCK = 4096
+# Kept grid points per kernel call of the grid scan.  A (6, 2048) term array
+# is 96 KiB, under glibc's 128 KiB mmap threshold, so every array of a call
+# comes from the heap and is reused by the next call.  Larger arrays are
+# mapped, freed and page-faulted back in every solve that keeps that many
+# points: on two 600-solve clinic-like streams, where about 4% of the solves
+# keep more than 4000 points, minor faults per solve were 0.3-0.4 with
+# 2048-point calls, 6-8 with 4096 and 9-13 with one call for all kept points.
+_BLOCK = 2048
 # Ternary steps per refinement call: each call scores the 2 * (2**5 - 1) =
 # 62 points of the whole depth-5 tree below a live bracket.  A solve takes up
 # to about 21 steps, so at most 5 calls instead of one per step; deeper trees
@@ -156,56 +152,17 @@ class Interpretation(NamedTuple):
     final_pain_score: float
 
 
-class _Workspace:
-    """The arrays of the grid scan for one grid size, reused by every solve in a thread."""
-
-    def __init__(self, grid_points: int) -> None:
-        # the pruning blocks' endpoints: every _SPAN-th grid point, then the last one
-        self.ends = np.arange(0, grid_points + _SPAN - 1, _SPAN)
-        self.ends[-1] = grid_points - 1
-        self.inner = np.arange(1, _SPAN)
-        # grid indices past the last point that the last block's interior would take
-        self.excess = self.ends[-2] + _SPAN - self.ends[-1]
-        e = len(self.ends)
-        # the endpoints' terms, then each block's lower and upper term bounds
-        self.bounds = np.empty((6, 3 * e - 2))
-        # the kept points: grid indices, joint degrees, parts and one lambda's
-        # distances to the worst and the best anchor, and scratch
-        size = (e - 1) * (_SPAN - 1)
-        self.index = np.empty(size, dtype=np.intp)
-        self.points = np.empty(size)
-        self.parts = np.empty((4, size))
-        self.scan = np.empty((3, size))
-        block = min(_BLOCK, size)
-        self.terms = np.empty((6, block))
-        self.powers = np.empty((2, 6, block))
-
-
-_workspaces = threading.local()
-
-
-def _workspace(grid_points: int) -> _Workspace:
-    ws = getattr(_workspaces, "ws", None)
-    if ws is None or ws.ends[-1] != grid_points - 1:
-        ws = _workspaces.ws = _Workspace(grid_points)
-    return ws
-
-
-def _grid_at(index, start: float, stop: float, grid_points: int, out=None) -> np.ndarray:
+def _grid_at(index, start: float, stop: float, grid_points: int) -> np.ndarray:
     """``np.linspace(start, stop, grid_points)[index]``, by linspace's own operations.
 
-    Only the points at the integer array ``index`` are computed, into ``out``
-    when given, so a solve never fills the whole grid.
+    Only the points at the integer array ``index`` are computed, so a solve
+    never fills the whole grid.
     """
     div = grid_points - 1
     delta = stop - start
     step = delta / div
-    if step == 0.0:
-        # linspace's order for a width so small that its step underflows
-        out = np.divide(index, div, out=out)
-        out *= delta
-    else:
-        out = np.multiply(index, step, out=out)
+    # linspace's order for a width so small that its step underflows
+    out = index / div * delta if step == 0.0 else index * step
     out += start
     out[index == div] = stop
     return out
@@ -230,7 +187,7 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     """
     flat = j_hi - j_lo <= 0.0
     line = (j_lo, j_hi, grid_points)
-    k, s_opt = _scan(_workspace(grid_points), u, v, line, target, code, lams, blind, flat)
+    k, s_opt = _scan(u, v, line, target, code, lams, blind, flat)
     # each grid optimum, then its two neighbours, which bracket the refinement
     at = np.minimum(np.maximum(k + np.array([[0], [-1], [1]]), 0), grid_points - 1)
     j_opt, lo, hi = _grid_at(at, *line)
@@ -238,7 +195,7 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
         return j_opt, s_opt
 
     def objective(j, lam):
-        terms = backends.line_terms(u, v, j.ravel(), blind, np.empty((6, j.size)))
+        terms = backends.line_terms(u, v, j.ravel(), blind)
         parts = [x.reshape(j.shape) for x in backends.terms_parts(terms, code)]
         s = backends.ratio(backends.combine(parts, lam))
         # The refinement compares C pow squares (what Python's float ** gives),
@@ -261,12 +218,12 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     return j_opt, s_opt
 
 
-def _scan(ws, u, v, line, target, code, lams, blind, flat) -> tuple[np.ndarray, np.ndarray]:
+def _scan(u, v, line, target, code, lams, blind, flat) -> tuple[np.ndarray, np.ndarray]:
     """Each lambda's grid argmin of ``(target - s)**2``, and the score there, scoring what can win.
 
     ``line`` is the grid's ``(j_lo, j_hi, grid_points)``; returns grid
     indices and scores.  The grid splits into blocks of ``_SPAN`` points
-    between endpoints ``ws.ends``, and the endpoints are scored first.
+    between endpoints, and the endpoints are scored first.
     Their terms also bound every block's interior terms: each line term is
     the absolute value of a rounded linear function of ``j`` on a sorted
     grid, so along a block its computed value lies between the values at
@@ -312,15 +269,20 @@ def _scan(ws, u, v, line, target, code, lams, blind, flat) -> tuple[np.ndarray, 
       too, so no pruned point's objective can fall to the best one.
 
     A zero-width interval (``flat``) has one j, and scores one point.  Kept
-    points are gathered into the workspace and scored ``_BLOCK`` per kernel
-    call, so a solve allocates nothing of the grid's size.
+    points are scored at most ``_BLOCK`` per kernel call, and each lambda's
+    argmin is taken per call with the same rule: first in grid order on a
+    tie.
     """
-    ends = ws.ends[:1] if flat else ws.ends
+    grid_points = line[2]
+    # every _SPAN-th grid point, then the last one
+    ends = np.arange(0, grid_points + _SPAN - 1, _SPAN)
+    ends[-1] = grid_points - 1
+    if flat:
+        ends = ends[:1]
     e = len(ends)
-    t = ws.bounds[:, :3 * e - 2]
-    backends.line_terms(u, v, _grid_at(ends, *line, out=ws.points[:e]), blind, t[:, :e])
-    np.minimum(t[:, :e - 1], t[:, 1:e], out=t[:, e:2 * e - 1])
-    np.maximum(t[:, :e - 1], t[:, 1:e], out=t[:, 2 * e - 1:])
+    # the endpoints' terms, then each block's lower and upper term bounds
+    t = backends.line_terms(u, v, _grid_at(ends, *line), blind)
+    t = np.concatenate([t, np.minimum(t[:, :-1], t[:, 1:]), np.maximum(t[:, :-1], t[:, 1:])], 1)
     parts = backends.terms_parts(t, code)
     k = np.empty(len(lams), dtype=np.intp)
     best = np.empty(len(lams))
@@ -337,30 +299,19 @@ def _scan(ws, u, v, line, target, code, lams, blind, flat) -> tuple[np.ndarray, 
         gap = np.maximum(np.maximum(s_lo - target, target - s_hi), 0.0)
         keep |= ~(np.square(gap) > best[i])
 
-    blocks = np.flatnonzero(keep)
-    index = ws.index[:len(blocks) * (_SPAN - 1)]
-    np.add(ends[blocks, None], ws.inner, out=index.reshape(-1, _SPAN - 1))
-    n = len(index) - (ws.excess if keep[-1:].any() else 0)
-    if n <= 0:
-        return k, s_opt
-    index = index[:n]
-    j = _grid_at(index, *line, out=ws.points[:n])
-    for b in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - b)
-        backends.terms_parts(
-            backends.line_terms(u, v, j[b:b + m], blind, ws.terms[:, :m]),
-            code,
-            ws.parts[:, b:b + m],
-            (ws.powers[0, :, :m], ws.powers[1, :, :m]),
-        )
-    d_worst, d_best, obj = scan = ws.scan[:, :n]
-    for i, lam in enumerate(lams.tolist()):
-        backends.combine(ws.parts[:, :n], lam, out=scan)
-        s = backends.ratio((d_worst, d_best), out=d_best)
-        np.square(np.subtract(target, s, out=obj), out=obj)
-        m = obj.argmin()
-        if obj[m] < best[i] or (obj[m] == best[i] and index[m] < k[i]):
-            k[i], best[i], s_opt[i] = index[m], obj[m], s[m]
+    # the interiors of the kept blocks, short of the last grid point
+    index = (ends[np.flatnonzero(keep), None] + np.arange(1, _SPAN)).ravel()
+    index = index[index < grid_points - 1]
+    for b in range(0, len(index), _BLOCK):
+        chunk = index[b:b + _BLOCK]
+        terms = backends.line_terms(u, v, _grid_at(chunk, *line), blind)
+        parts = backends.terms_parts(terms, code)
+        for i, lam in enumerate(lams.tolist()):
+            s = backends.ratio(backends.combine(parts, lam))
+            obj = np.square(np.subtract(target, s))
+            m = obj.argmin()
+            if obj[m] < best[i] or (obj[m] == best[i] and chunk[m] < k[i]):
+                k[i], best[i], s_opt[i] = chunk[m], obj[m], s[m]
     return k, s_opt
 
 
@@ -513,8 +464,6 @@ def solve_programming1(
     confusion_threshold = _check_unit(confusion_threshold, "threshold")
     patient_pain = _check_unit(patient_pain, "patient pain")
     j_lo, j_hi = joint_bounds(u, v)
-    if j_lo > j_hi:
-        raise EmptyFeasibleRegionError(f"no admissible joint degree for u={u!r}, v={v!r}")
     target = 1.0 - patient_pain
     j, s = _solve(
         u, v, j_lo, j_hi, target, order_code(params.p), np.array([params.lam]), grid_points

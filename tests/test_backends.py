@@ -76,7 +76,7 @@ class TestLegacyAsBlindScore:
         pairs = [(1e-6, 1.0 - 1e-6), (1.0, 1e-7), (0.0, 1.0), (1.0, 0.0), (0.3, 0.4)]
         for u, v in pairs + [tuple(rng.random(2).tolist()) for _ in range(5)]:
             j = np.linspace(*joint_bounds(u, v), 101)
-            terms = backends.line_terms(u, v, j, True, np.empty((6, len(j))))
+            terms = backends.line_terms(u, v, j, True)
             s = backends.ratio(backends.combine(backends.terms_parts(terms, p_code), 1.0))
             assert np.array_equal(s, _legacy_score(solver_rows(u, v, j, True), p_code))
 
@@ -113,7 +113,7 @@ class TestAnchorParts:
             j = np.linspace(*joint_bounds(u, v), 101)
             rows = solver_rows(u, v, j, blind)
             want = np.abs(rows.T[backends._ANCHOR_COLUMNS] - backends._ANCHOR_VALUES)
-            got = backends.line_terms(u, v, j, blind, np.empty((6, len(j))))
+            got = backends.line_terms(u, v, j, blind)
             assert got.tobytes() == want.tobytes()
 
 
@@ -152,15 +152,6 @@ class TestIpow:
         # dropping the multiplication by 1.0 and the last square keeps the bits
         x = np.concatenate([self.EXACT, np.random.default_rng(p).uniform(0.0, 1.5, 200)])
         assert backends._ipow(x, p).tobytes() == _ones_chain(x, p).tobytes()
-
-
-    @pytest.mark.parametrize("p", range(1, 65))
-    def test_scratch_pair_keeps_the_bits_and_the_input(self, p):
-        x = np.random.default_rng(p).uniform(0.0, 1.5, (6, 50))
-        before = x.tobytes()
-        scratch = (np.full_like(x, np.nan), np.full_like(x, np.nan))
-        assert backends._ipow(x, p, scratch).tobytes() == backends._ipow(x, p).tobytes()
-        assert x.tobytes() == before
 
 
 class TestSelection:

@@ -245,9 +245,9 @@ class TestSolveMatchesReference:
         points = []
         line_terms = backends.line_terms
 
-        def count(u, v, j, blind, out):
+        def count(u, v, j, blind):
             points.append(j.size)
-            return line_terms(u, v, j, blind, out)
+            return line_terms(u, v, j, blind)
 
         monkeypatch.setattr(backends, "line_terms", count)
         rng = np.random.default_rng(21)
@@ -270,7 +270,9 @@ WIDTHS = st.one_of(
     st.floats(0.0, 1.0),
 )
 
-# Minor page faults per solve over 200 solves that follow 20 warm-up ones.
+# Minor page faults per solve over 400 solves that follow 40 warm-up ones.
+# Each step pairs a solve whose scan keeps few blocks with an all-ties one
+# (u == v at lambda = 0) whose scan keeps every block of the grid.
 FAULTS_PER_SOLVE = """
 import resource
 import cfkit
@@ -279,13 +281,14 @@ def solve(i):
     p = cfkit.CHEBYSHEV if i % 11 == 10 else i % 11 + 1
     params = cfkit.DistanceParams(p=p, lam=(i % 21) / 20)
     cfkit.solve_programming1(0.3 + 0.001 * (i % 50), 0.4, 0.5, params)
+    cfkit.solve_programming1(0.3, 0.3, 0.2, cfkit.DistanceParams(p=p, lam=0.0))
 
 for i in range(20):
     solve(i)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for i in range(200):
     solve(i)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 400)
 """
 
 
@@ -301,17 +304,28 @@ class TestGridScan:
         got = pain._grid_at(np.arange(grid_points), start, stop, grid_points)
         assert got.tobytes() == np.linspace(start, stop, grid_points).tobytes()
 
-    @pytest.mark.parametrize("grid_points", [2047, 2048, 2049, pain._BLOCK + 1, 10001])
-    def test_all_ties_first_point_wins(self, grid_points):
+    @pytest.mark.parametrize("grid_points", [2047, 2048, 2049, 4097, 10001])
+    def test_all_ties_first_point_wins(self, grid_points, monkeypatch):
         # u == v at lambda = 0: the distances to both anchors are the same
-        # Chebyshev term, so every grid score is exactly 0.5.
+        # Chebyshev term, so every grid score is exactly 0.5, no block is
+        # pruned and the scan scores its kept points at most pain._BLOCK per call.
+        points = []
+        line_terms = backends.line_terms
+
+        def count(u, v, j, blind):
+            points.append(j.size)
+            return line_terms(u, v, j, blind)
+
+        monkeypatch.setattr(backends, "line_terms", count)
         solution = solve_programming1(0.3, 0.3, 0.2, DistanceParams(p=3, lam=0.0),
                                       grid_points=grid_points)
         assert solution.s_opt == 0.5
         assert solution.j_opt == joint_bounds(0.3, 0.3)[0]
+        assert max(points) <= pain._BLOCK
 
     def test_threads_keep_their_own_workspace(self):
-        # One grid size, so that a workspace shared between threads would be overwritten.
+        # One grid size, so that any module state the solver shared between
+        # threads would be overwritten mid-solve.
         cases = [(u, 0.4, 0.5, DistanceParams(p=p, lam=lam))
                  for u, p, lam in [(0.1, 2, 0.3), (0.5, 7, 0.9), (0.9, 1, 0.0), (0.3, CHEBYSHEV, 1.0)]]
         want = [solve_programming1(*case) for case in cases]
