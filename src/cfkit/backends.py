@@ -161,9 +161,16 @@ def line_terms(u: float, v: float, j: np.ndarray, blind: bool) -> np.ndarray:
     ``anchor_parts`` takes of the same rows: subtracting 0 changes no bits
     that survive the absolute value.
     """
-    us, vs = u - j, v - j
-    h = np.zeros_like(j) if blind else 1.0 - u - v + j
-    t = np.stack([us, vs - 1.0, j, h, us - 1.0, vs])
+    t = np.empty((6, len(j)))
+    us = np.subtract(u, j, out=t[0])
+    vs = np.subtract(v, j, out=t[5])
+    np.subtract(vs, 1.0, out=t[1])
+    t[2] = j
+    if blind:
+        t[3] = 0.0
+    else:
+        np.add(1.0 - u - v, j, out=t[3])
+    np.subtract(us, 1.0, out=t[4])
     return np.abs(t, out=t)
 
 

@@ -19,11 +19,17 @@ last one first, then the interior of a block between two of them only where
 interval bounds on the block's scores, from its endpoints' terms, could reach
 the best endpoint objective (see ``_scan``); it scores the kept points at
 most ``_BLOCK`` per kernel call.  The refinement runs for all lambdas
-together.  A bracket at a bound of the grid, where most answers sit, first
-scores its whole path of ternary steps toward that bound in one kernel call
-(see ``_spine``); then each kernel call scores the whole depth-``_DEPTH``
-tree of ternary steps below every live bracket, and a walk down the tree
-takes the steps that one call per step would take, bit for bit.
+together.  Most answers sit on a bound of the grid, and the brackets there,
+their paths of ternary steps toward the bound and the final check at each
+path's end are known before anything is scored (see ``_spine_paths``).
+The scan's first kernel call scores those points with the block endpoints,
+so a bracket whose walk along its path reaches the tolerance (see
+``_spine``) needs no call of its own: most solves make two kernel calls,
+the endpoints and one of kept interior points.  Other brackets go to
+kernel calls that score the whole depth-``_DEPTH`` tree of ternary steps
+below every live bracket, and a walk down the tree takes the steps that
+one call per step would take, bit for bit; their final check is one more
+call.
 ``solve_programming1`` is the one-lambda case, ``sensitivity_sweep`` solves
 once per order over the whole lambda grid, and ``legacy_comparison_sweep``
 scores rows with their hesitancy dropped at lambda = 1, which is the
@@ -32,6 +38,7 @@ hesitancy-blind Minkowski score.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -177,17 +184,29 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     grid, which keeps the search robust against non-unimodal curves, is the
     full scan's argmin, found by scoring only the grid blocks that could hold
     it (see ``_scan``).  The ternary refinement of each winning bracket to
-    REFINE_TOL in j then runs for all lambdas at once: first the steps of
-    every bracket at a bound of the grid toward that bound, all in one call
-    (see ``_spine``), then ``_DEPTH`` steps per kernel call (see
-    ``_refine``).  Its ``objective`` scores a ``(levels, n)`` array of
-    points, one lambda per column, through the same kernels.  ``blind``
+    REFINE_TOL in j then runs for all lambdas at once (see ``_refine``), and
+    a final check keeps the best of the grid optimum and the last bracket's
+    ends and midpoint.
+
+    The two brackets at the bounds of the grid, where most answers sit, are
+    known before anything is scored, and so are their paths of ternary steps
+    toward the bound and the final check at each path's end (see
+    ``_spine_paths``).  The scan's first kernel call scores those points with
+    the block endpoints, for every lambda.  A bound optimum whose walk along
+    its path reaches REFINE_TOL (see ``_spine``) reads its final check from
+    those scores, so a solve whose scan keeps at most ``_BLOCK`` interior
+    points makes two kernel calls in all.  The other brackets go to the
+    depth-``_DEPTH`` tree of ``_refine``, and their final check is one more
+    call.  ``objective`` scores a ``(levels, n)`` array of points, one lambda
+    per column, through the same kernels.  The kernels are elementwise, so a
+    point's score has the same bits in whichever call scores it.  ``blind``
     zeroes the hesitancy column: with lambda = 1 that is the hesitancy-blind
     Minkowski score, bit for bit.
     """
     flat = j_hi - j_lo <= 0.0
     line = (j_lo, j_hi, grid_points)
-    k, s_opt = _scan(u, v, line, target, code, lams, blind, flat)
+    paths = ([], {}) if flat else _spine_paths(line)
+    k, s_opt, s_paths = _scan(u, v, line, target, code, lams, blind, flat, paths[0])
     # each grid optimum, then its two neighbours, which bracket the refinement
     at = np.minimum(np.maximum(k + np.array([[0], [-1], [1]]), 0), grid_points - 1)
     j_opt, lo, hi = _grid_at(at, *line)
@@ -204,26 +223,34 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
         # bytes were produced this way.
         return np.float_power(target - s, 2), s
 
+    obj_paths = np.float_power(target - s_paths, 2)
     bound = [-1 if i == 0 else int(i == grid_points - 1) for i in k.tolist()]
-    lo, hi = _refine(objective, lams, lo, hi, bound)
+    lo, hi, stored = _refine(objective, lams, lo, hi, bound, paths, obj_paths.tolist())
 
-    best_obj = np.float_power(target - s_opt, 2)
-    candidates = (lo, 0.5 * (lo + hi), hi)
-    obj, s = objective(np.stack(candidates), lams)
-    for j_c, obj_c, s_c in zip(candidates, obj, s):
-        better = obj_c < best_obj
-        j_opt = np.where(better, j_c, j_opt)
-        s_opt = np.where(better, s_c, s_opt)
-        best_obj = np.where(better, obj_c, best_obj)
-    return j_opt, s_opt
+    # The final check: the grid optimum, then the last bracket's ends and
+    # midpoint.  The first of the least objectives wins, as a candidate that
+    # replaces an earlier one only where it is strictly better would; no
+    # objective is NaN, since d_worst + d_best >= 1.
+    j = np.stack((j_opt, lo, 0.5 * (lo + hi), hi))
+    s = np.empty_like(j)
+    s[0] = s_opt
+    rest = [i for i in range(len(lams)) if i not in stored]
+    if rest:
+        s[1:, rest] = objective(j[1:, rest], lams[rest])[1]
+    for i, c in stored.items():
+        s[1:, i] = s_paths[i, c:c + 3]
+    pick = np.float_power(target - s, 2).argmin(0), np.arange(len(lams))
+    return j[pick], s[pick]
 
 
-def _scan(u, v, line, target, code, lams, blind, flat) -> tuple[np.ndarray, np.ndarray]:
+def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarray, ...]:
     """Each lambda's grid argmin of ``(target - s)**2``, and the score there, scoring what can win.
 
     ``line`` is the grid's ``(j_lo, j_hi, grid_points)``; returns grid
-    indices and scores.  The grid splits into blocks of ``_SPAN`` points
-    between endpoints, and the endpoints are scored first.
+    indices and scores, and the ``(len(lams), len(extra))`` scores of the
+    list of points ``extra``, which the first kernel call scores with the
+    block endpoints for every lambda.  The grid splits into blocks of
+    ``_SPAN`` points between endpoints, and the endpoints are scored first.
     Their terms also bound every block's interior terms: each line term is
     the absolute value of a rounded linear function of ``j`` on a sorted
     grid, so along a block its computed value lies between the values at
@@ -268,10 +295,10 @@ def _scan(u, v, line, target, code, lams, blind, flat) -> tuple[np.ndarray, np.n
     - Past the scores, ``np.square`` of a rounded difference is monotone
       too, so no pruned point's objective can fall to the best one.
 
-    A zero-width interval (``flat``) has one j, and scores one point.  Kept
-    points are scored at most ``_BLOCK`` per kernel call, and each lambda's
-    argmin is taken per call with the same rule: first in grid order on a
-    tie.
+    A zero-width interval (``flat``) has one j, and scores one point and
+    ``extra``.  Kept points are scored at most ``_BLOCK`` per kernel call,
+    and each lambda's argmin is taken per call with the same rule: first in
+    grid order on a tie.
     """
     grid_points = line[2]
     # every _SPAN-th grid point, then the last one
@@ -280,22 +307,27 @@ def _scan(u, v, line, target, code, lams, blind, flat) -> tuple[np.ndarray, np.n
     if flat:
         ends = ends[:1]
     e = len(ends)
-    # the endpoints' terms, then each block's lower and upper term bounds
-    t = backends.line_terms(u, v, _grid_at(ends, *line), blind)
-    t = np.concatenate([t, np.minimum(t[:, :-1], t[:, 1:]), np.maximum(t[:, :-1], t[:, 1:])], 1)
+    f = e + len(extra)
+    # the terms of the endpoints and of extra, then each block's lower and
+    # upper term bounds
+    t = backends.line_terms(u, v, np.concatenate([_grid_at(ends, *line), extra]), blind)
+    left, right = t[:, :e - 1], t[:, 1:e]
+    t = np.concatenate([t, np.minimum(left, right), np.maximum(left, right)], 1)
     parts = backends.terms_parts(t, code)
     k = np.empty(len(lams), dtype=np.intp)
     best = np.empty(len(lams))
     s_opt = np.empty(len(lams))
+    s_extra = np.empty((len(lams), len(extra)))
     keep = np.zeros(e - 1, dtype=bool)
     for i, lam in enumerate(lams.tolist()):
         d_worst, d_best = backends.combine(parts, lam)
-        s = backends.ratio((d_worst[:e], d_best[:e]))
-        obj = np.square(np.subtract(target, s))
+        s = backends.ratio((d_worst[:f], d_best[:f]))
+        s_extra[i] = s[e:]
+        obj = np.square(np.subtract(target, s[:e]))
         m = obj.argmin()
         k[i], best[i], s_opt[i] = ends[m], obj[m], s[m]
-        s_lo = backends.ratio((d_worst[e:2 * e - 1], d_best[2 * e - 1:])) - _SLACK
-        s_hi = backends.ratio((d_worst[2 * e - 1:], d_best[e:2 * e - 1])) + _SLACK
+        s_lo = backends.ratio((d_worst[f:f + e - 1], d_best[f + e - 1:])) - _SLACK
+        s_hi = backends.ratio((d_worst[f + e - 1:], d_best[f:f + e - 1])) + _SLACK
         gap = np.maximum(np.maximum(s_lo - target, target - s_hi), 0.0)
         keep |= ~(np.square(gap) > best[i])
 
@@ -312,76 +344,94 @@ def _scan(u, v, line, target, code, lams, blind, flat) -> tuple[np.ndarray, np.n
             m = obj.argmin()
             if obj[m] < best[i] or (obj[m] == best[i] and chunk[m] < k[i]):
                 k[i], best[i], s_opt[i] = chunk[m], obj[m], s[m]
-    return k, s_opt
+    return k, s_opt, s_extra
 
 
-def _spine(objective, lams, lo, hi, cells, bound) -> None:
-    """Take the steps of every bracket in ``cells`` toward its grid bound, all scored in one call.
+def _spine_paths(line) -> tuple[list, dict]:
+    """The ternary steps from each end bracket of the grid toward its bound, and their final check.
 
-    A cell whose grid optimum is the first grid point has the bracket
-    ``(grid[0], grid[1])`` (``bound[i]`` is -1), and where the objective
-    rises away from ``j_lo``, as it does for most answers, every ternary
-    step keeps ``(l, m2)``: only ``h`` moves.  That path of steps down to
-    REFINE_TOL is known before any point of it is scored, with ``_refine``'s
-    ``third``, ``m1`` and ``m2`` arithmetic.  One ``objective`` call scores
-    the paths of all cells, and a walk along each takes its steps by
-    ``_refine``'s rule and stops at the first one that goes the other way,
-    leaving that bracket to the tree.  A cell at the last grid point
-    (``bound[i]`` is 1) mirrors this, moving only ``l``.  Cells with the
-    same bracket and bound share their path.  ``lo`` and ``hi`` are lists
-    and are updated in place.
+    ``line`` is the grid's ``(j_lo, j_hi, grid_points)``.  A lambda whose
+    grid optimum is the first grid point has the bracket ``(grid[0],
+    grid[1])``, and where the objective rises away from ``j_lo``, as it does
+    for most answers, every ternary step keeps ``(l, m2)``: only ``h``
+    moves.  That path of steps down to REFINE_TOL is known before any point
+    of it is scored, with ``_refine``'s ``third``, ``m1`` and ``m2``
+    arithmetic.  At the last grid point the bracket is ``(grid[-2],
+    grid[-1])`` and only ``l`` moves.  Returns the points of both paths in
+    one list and, keyed by the ``bound`` of ``_refine`` (-1 or 1), where a
+    path starts in it and its number of steps ``n``: a path lists its ``n``
+    points ``m1``, its ``n`` points ``m2``, then the final check ``(l, 0.5 *
+    (l + h), h)`` of its last bracket.
     """
-    paths, cell_paths = {}, []
-    for i in cells:
-        key = (lo[i], hi[i], bound[i])
-        if key not in paths:
-            l, h = lo[i], hi[i]
-            path = paths[key] = []
-            while h - l > REFINE_TOL:
-                third = (h - l) / 3.0
-                path.append((l + third, h - third))
-                if bound[i] < 0:
-                    h = path[-1][1]
-                else:
-                    l = path[-1][0]
-        cell_paths.append(paths[key])
-    size = max(map(len, paths.values()))
-    columns = []
-    for path in cell_paths:
-        path = path + path[-1:] * (size - len(path))
-        columns.append([m1 for m1, _ in path] + [m2 for _, m2 in path])
-    obj = objective(np.array(columns).T, lams[cells])[0].tolist()
-    for c, (i, path) in enumerate(zip(cells, cell_paths)):
-        for d, (m1, m2) in enumerate(path):
-            if (obj[d][c] < obj[size + d][c]) != (bound[i] < 0):
-                break
-            if bound[i] < 0:
-                hi[i] = m2
+    grid_points = line[2]
+    ends = _grid_at(np.array([0, 1, grid_points - 2, grid_points - 1]), *line).tolist()
+    points, sides = [], {}
+    for bound, l, h in ((-1, *ends[:2]), (1, *ends[2:])):
+        m1s, m2s = [], []
+        while h - l > REFINE_TOL:
+            third = (h - l) / 3.0
+            m1s.append(l + third)
+            m2s.append(h - third)
+            if bound < 0:
+                h = m2s[-1]
             else:
-                lo[i] = m1
+                l = m1s[-1]
+        sides[bound] = (len(points), len(m1s))
+        points += m1s + m2s + [l, 0.5 * (l + h), h]
+    return points, sides
 
 
-def _refine(objective, lams, lo, hi, bound) -> tuple[np.ndarray, np.ndarray]:
+def _spine(paths, obj, lo, hi, cells, bound) -> dict:
+    """Walk every bracket in ``cells`` along its stored path toward its grid bound.
+
+    ``paths`` is ``_spine_paths``'s result and ``obj`` the objective of its
+    points, already scored, one row per lambda.  The walk takes each step by
+    ``_refine``'s rule and stops at the first one that goes the other way,
+    leaving that bracket to the tree.  ``lo`` and ``hi`` are lists and are
+    updated in place.  Returns, for each cell that walked its whole path,
+    the index in ``paths`` where its final check's three points start.
+    """
+    points, sides = paths
+    stored = {}
+    for i in cells:
+        b = bound[i]
+        start, n = sides[b]
+        o = obj[i]
+        for d in range(start, start + n):
+            if (o[d] < o[n + d]) != (b < 0):
+                break
+            if b < 0:
+                hi[i] = points[n + d]
+            else:
+                lo[i] = points[d]
+        else:
+            stored[i] = start + 2 * n
+    return stored
+
+
+def _refine(
+    objective, lams, lo, hi, bound, paths, obj_paths
+) -> tuple[np.ndarray, np.ndarray, dict]:
     """Ternary-search every bracket ``[lo[i], hi[i]]`` down to REFINE_TOL.
 
     One step splits ``(l, h)`` at ``m1 = l + (h - l) / 3`` and
     ``m2 = h - (h - l) / 3`` and keeps ``(l, m2)`` if ``obj(m1) < obj(m2)``,
     else ``(m1, h)``; a bracket steps while ``h - l > REFINE_TOL``.
     ``bound[i]`` is -1 where the grid optimum is the first grid point, 1
-    where it is the last and 0 elsewhere; the brackets at a bound first take
-    their steps toward it in one call (see ``_spine``), which for most of
-    them is every step.  Then each round scores, in one ``objective`` call,
-    the points of every step the next ``_DEPTH`` steps could take: the whole
+    where it is the last and 0 elsewhere.  The brackets at a bound first
+    walk their path toward it, on the objective ``obj_paths`` that the scan
+    scored (see ``_spine``): for most of them that is every step, and no
+    kernel call.  Then each round scores, in one ``objective`` call, the
+    points of every step the next ``_DEPTH`` steps could take: the whole
     tree of brackets below each live cell's current one.  Walking down it
     takes the same steps, on the same bits, as stepping one call at a time.
-    Returns the final brackets.
+    Returns the final brackets, and ``_spine``'s result: where the final
+    checks that are already scored sit in the paths.
     """
     lo, hi = lo.tolist(), hi.tolist()
+    cells = [i for i, b in enumerate(bound) if b]
+    stored = _spine(paths, obj_paths, lo, hi, cells, bound) if cells else {}
     live = [i for i, (l, h) in enumerate(zip(lo, hi)) if h - l > REFINE_TOL]
-    cells = [i for i in live if bound[i]]
-    if cells:
-        _spine(objective, lams, lo, hi, cells, bound)
-        live = [i for i in live if hi[i] - lo[i] > REFINE_TOL]
     while live:
         n = len(live)
         # Level d of the tree has 2**d nodes, and node t of cell c has its
@@ -420,10 +470,14 @@ def _refine(objective, lams, lo, hi, bound) -> tuple[np.ndarray, np.ndarray]:
             if h - l > REFINE_TOL:
                 still.append(i)
         live = still
-    return np.array(lo), np.array(hi)
+    return np.array(lo), np.array(hi), stored
 
 
 def _check_grid(grid_points) -> None:
+    try:
+        operator.index(grid_points)
+    except TypeError:
+        raise OutOfRangeError(f"grid_points must be an integer, got {grid_points!r}") from None
     if grid_points < 101:
         raise OutOfRangeError(f"grid_points must be at least 101, got {grid_points}")
 

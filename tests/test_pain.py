@@ -179,6 +179,17 @@ class TestSolveMatchesReference:
     # spine's walk stops after a few steps and the tree takes over
     @example(uv=(0.07, 0.86), target=reference_score(0.07, 0.86, 3e-6, 3, 0.5), p=3,
              lams=np.array([0.5]), blind=False)
+    # 21 lambdas whose optima end on j_lo, on j_hi and inside: stored final
+    # checks sit among cells that the tree refines
+    @example(uv=(0.07, 0.34), target=0.43, p=5, lams=np.linspace(0.0, 1.0, 21), blind=False)
+    # at grid 101 the optimum on j_hi is nearer the bracket's midpoint than
+    # the grid suggests, so the spine's walk turns at its first step
+    @example(uv=(0.4, 0.61), target=reference_score(0.4, 0.61, 0.3980461, 5, 0.2), p=5,
+             lams=np.array([0.2]), blind=False)
+    # a zero-width interval: no spine paths, under 21 lambdas
+    @example(uv=(1.0, 0.3), target=0.4, p=2, lams=np.linspace(0.0, 1.0, 21), blind=False)
+    # a wide interval: at grid 101 the spine paths take 33 steps
+    @example(uv=(0.49, 0.52), target=0.48, p=3, lams=np.array([0.5]), blind=False)
     def test_bitwise(self, grid_points, uv, target, p, lams, blind):
         u, v = uv
         j_lo, j_hi = joint_bounds(u, v)
@@ -208,10 +219,11 @@ class TestSolveMatchesReference:
         counting(pain, "_spine", lambda args: "spine")
         return calls
 
-    def test_bound_optimum_refines_in_one_spine_call(self, monkeypatch):
+    def test_bound_optimum_solves_in_two_kernel_calls(self, monkeypatch):
         calls = self.kernel_calls(monkeypatch)
         grid_points = 10001
-        args = (0.07, 0.86, 0.0, 0.07, 12 / 70, 3, np.array([0.5]), grid_points)
+        line = (0.0, 0.07, grid_points)
+        args = (0.07, 0.86, *line[:2], 12 / 70, 3, np.array([0.5]), grid_points)
         reference_solve(*args)
         steps = len(calls) - 2  # the grid, one call per step, then the final candidates
         calls.clear()
@@ -219,11 +231,15 @@ class TestSolveMatchesReference:
         assert j_opt.tolist() == [0.07]  # j_hi, the last grid point
         start = calls.index("refine")
         scan, refine = calls[:start], calls[start + 1:]
-        # the block endpoints, then the interiors of the kept blocks
-        assert scan[0] == -(-(grid_points - 1) // pain._SPAN) + 1
-        assert 0 < sum(scan[1:]) < grid_points // 10
-        assert steps > 2 * pain._DEPTH
-        assert refine == ["spine", 2 * steps, 3]
+        # The first call scores the block endpoints and both spine paths with
+        # their final checks, the second the interiors of the kept blocks.
+        # The walk toward j_hi takes every step of its path and reads its
+        # final check from the first call, so the refinement scores nothing.
+        points, sides = pain._spine_paths(line)
+        assert sides[1][1] == steps > 2 * pain._DEPTH
+        assert scan[0] == -(-(grid_points - 1) // pain._SPAN) + 1 + len(points)
+        assert len(scan) == 2 and 0 < scan[1] < grid_points // 10
+        assert refine == ["spine"]
 
     def test_depth_steps_per_kernel_call(self, monkeypatch):
         calls = self.kernel_calls(monkeypatch)
@@ -239,9 +255,9 @@ class TestSolveMatchesReference:
         assert len(refine) == -(-steps // pain._DEPTH) + 1
         assert refine[:-1] == [2 ** (pain._DEPTH + 1) - 2] * (len(refine) - 1)
 
-    def test_scan_prunes_clinic_grids(self, monkeypatch):
-        # Clinic-like assessments: a scan that fell back to scoring every grid
-        # point would score over 6 times the bound.
+    @staticmethod
+    def clinic_solves(monkeypatch, solves):
+        """Points per kernel call over ``solves`` clinic-like assessments."""
         points = []
         line_terms = backends.line_terms
 
@@ -251,7 +267,6 @@ class TestSolveMatchesReference:
 
         monkeypatch.setattr(backends, "line_terms", count)
         rng = np.random.default_rng(21)
-        solves = 200
         for _ in range(solves):
             u, v = rng.random(2).tolist()
             if rng.random() < 0.08:  # a zero-width interval
@@ -260,7 +275,24 @@ class TestSolveMatchesReference:
             lam = rng.integers(0, 21) / 20
             patient_pain = normalize_patient_score(rng.integers(0, 11, 7).tolist())
             solve_programming1(u, v, patient_pain, DistanceParams(p=p, lam=lam))
+        return points
+
+    def test_scan_prunes_clinic_grids(self, monkeypatch):
+        # Clinic-like assessments: a scan that fell back to scoring every grid
+        # point would score over 6 times the bound.
+        solves = 200
+        points = self.clinic_solves(monkeypatch, solves)
         assert sum(points) <= 0.15 * solves * pain.DEFAULT_GRID_POINTS
+
+    def test_clinic_solves_make_few_kernel_calls(self, monkeypatch):
+        # Most clinic answers sit on a bound of the grid and take two calls:
+        # the scan's first call, which also scores both spine paths and their
+        # final checks, and one of kept interior points.  A solve that scored
+        # its spine and its final check in calls of their own would make
+        # about 4 (4.075 on this stream).
+        solves = 200
+        points = self.clinic_solves(monkeypatch, solves)
+        assert len(points) / solves <= 2.5
 
 
 # Widths down to the smallest subnormal, whose step underflows to 0.
@@ -490,6 +522,22 @@ class TestSolver:
             solve_programming1(CASE_U, CASE_V, 1.2, CASE_PARAMS)
         with pytest.raises(OutOfRangeError):
             solve_programming1(CASE_U, CASE_V, CASE_PAIN, CASE_PARAMS, grid_points=50)
+
+    @pytest.mark.parametrize("grid_points", [1000.5, 1001.0, np.float64(1001.0), "1001"])
+    def test_grid_points_must_be_an_integer(self, grid_points):
+        # A float grid size would build its grid on a bogus last point: the
+        # grid's index never equals a float 1000.5.
+        with pytest.raises(OutOfRangeError, match="grid_points must be an integer"):
+            solve_programming1(0.3, 0.5, 0.4, CASE_PARAMS, grid_points=grid_points)
+        with pytest.raises(OutOfRangeError, match="grid_points must be an integer"):
+            sensitivity_sweep(0.3, 0.5, 0.4, [2], [0.5], grid_points=grid_points)
+        with pytest.raises(OutOfRangeError, match="grid_points must be an integer"):
+            legacy_comparison_sweep(0.3, 0.5, 0.4, [2], grid_points=grid_points)
+
+    def test_numpy_integer_grid_points(self):
+        want = solve_programming1(0.3, 0.5, 0.4, CASE_PARAMS, grid_points=1001)
+        assert solve_programming1(0.3, 0.5, 0.4, CASE_PARAMS, grid_points=np.int64(1001)) == want
+        assert want.j_opt == 0.3  # j_hi, the last grid point
 
     @pytest.mark.parametrize("threshold", [1.5, float("nan")])
     def test_threshold_validation(self, threshold):
