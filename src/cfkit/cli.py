@@ -290,8 +290,7 @@ def _run_score(args) -> int:
 
 
 def _run_simulate(args) -> int:
-    from .figures import write_study
-    from .perturbation import PerturbationConfig, run_study
+    from .perturbation import PerturbationConfig, run_study, write_study
 
     config = PerturbationConfig(
         base_pair=tuple(args.pair),

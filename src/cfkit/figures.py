@@ -26,6 +26,7 @@ from .perturbation import (
     StudyResult,
     lambda_trend,
     run_study,
+    write_study,
 )
 from .score import scores
 
@@ -41,14 +42,7 @@ DEMO_PATIENT_PAIN = sum(DEMO_ITEMS) / 70.0
 
 FIGURE_FILES = ("fig2.csv", "fig3.csv", "fig4.csv", "fig5.csv", "fig7.csv", "fig8.csv")
 
-STUDY_HEADER = (
-    "trial", "epsilon", "p", "lambda",
-    "d_m", "d_h", "d_c", "delta_d_m", "delta_d_h", "delta_d_c",
-)
-
 PAIN_SWEEP_HEADER = ("mode", "p", "lambda", "j_opt", "s_opt", "gap")
-
-_BLOCK_ROWS = 4096
 
 
 def demo_study(seed: int, lambda_values) -> StudyResult:
@@ -116,44 +110,6 @@ def write_csv(fh, header, rows) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-
-
-def write_study(fh, result: StudyResult) -> None:
-    """Write a study as ``STUDY_HEADER`` CSV to the open text file ``fh``.
-
-    One row per (trial, p, lambda), in that order, with the bytes
-    ``write_csv`` gives ``(i, epsilon, p, lambda, *cell)`` rows.  Trials go
-    out in blocks of about ``_BLOCK_ROWS`` rows, one ``fh.write`` each, so
-    the text held at once is bounded by the block.  Each stored column is
-    formatted once: ``d_h`` and ``delta_d_h`` per trial, ``d_m`` and
-    ``delta_d_m`` per p, ``d_c`` and ``delta_d_c`` per (p, lambda).
-    """
-    p_values, lams = result.config.p_values, result.config.lambda_values
-    n_cells = len(p_values) * len(lams)
-    step = max(1, _BLOCK_ROWS // n_cells)
-    fh.write(",".join(STUDY_HEADER) + "\n")
-    for start in range(0, len(result.epsilons), step):
-        block = slice(start, start + step)
-
-        def text(column):
-            return map(repr, column[block].tolist())
-
-        trial = [f"{i},{e}," for i, e in zip(range(start, start + step), text(result.epsilons))]
-        d_h, delta_h = list(text(result.d_h)), list(text(result.delta_d_h))
-        lines = [""] * (len(trial) * n_cells)
-        k = 0
-        for p in p_values:
-            left = [f"{m},{h}," for m, h in zip(text(result.d_m[p]), d_h)]
-            right = [f",{m},{h}," for m, h in zip(text(result.delta_d_m[p]), delta_h)]
-            for lam in lams:
-                cell = f"{p},{lam},"
-                d_c, delta_c = text(result.d_c[(p, lam)]), text(result.delta_d_c[(p, lam)])
-                lines[k::n_cells] = [
-                    f"{t}{cell}{a}{c}{b}{dc}\n"
-                    for t, a, c, b, dc in zip(trial, left, d_c, right, delta_c)
-                ]
-                k += 1
-        fh.write("".join(lines))
 
 
 def export_figure_datasets(out_dir, seed: int = DEFAULT_SEED) -> list[Path]:

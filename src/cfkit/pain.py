@@ -175,7 +175,7 @@ def _grid_at(index, start: float, stop: float, grid_points: int) -> np.ndarray:
     return out
 
 
-def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
+def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False, paths=None):
     """Minimize ``(target - s(j))**2`` over the admissible j, once per lambda.
 
     ``[j_lo, j_hi]`` is ``joint_bounds(u, v)``, which also validated u and v.
@@ -201,11 +201,13 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     per column, through the same kernels.  The kernels are elementwise, so a
     point's score has the same bits in whichever call scores it.  ``blind``
     zeroes the hesitancy column: with lambda = 1 that is the hesitancy-blind
-    Minkowski score, bit for bit.
+    Minkowski score, bit for bit.  ``paths`` is ``_spine_paths`` of the
+    line, which a sweep computes once for all its orders.
     """
     flat = j_hi - j_lo <= 0.0
     line = (j_lo, j_hi, grid_points)
-    paths = ([], {}) if flat else _spine_paths(line)
+    if paths is None:
+        paths = _spine_paths(line)
     k, s_opt, s_paths = _scan(u, v, line, target, code, lams, blind, flat, paths[0])
     # each grid optimum, then its two neighbours, which bracket the refinement
     at = np.minimum(np.maximum(k + np.array([[0], [-1], [1]]), 0), grid_points - 1)
@@ -361,9 +363,12 @@ def _spine_paths(line) -> tuple[list, dict]:
     one list and, keyed by the ``bound`` of ``_refine`` (-1 or 1), where a
     path starts in it and its number of steps ``n``: a path lists its ``n``
     points ``m1``, its ``n`` points ``m2``, then the final check ``(l, 0.5 *
-    (l + h), h)`` of its last bracket.
+    (l + h), h)`` of its last bracket.  A zero-width line, which the scan
+    scores at one point, has no paths.
     """
-    grid_points = line[2]
+    j_lo, j_hi, grid_points = line
+    if j_hi - j_lo <= 0.0:
+        return [], {}
     ends = _grid_at(np.array([0, 1, grid_points - 2, grid_points - 1]), *line).tolist()
     points, sides = [], {}
     for bound, l, h in ((-1, *ends[:2]), (1, *ends[2:])):
@@ -566,9 +571,12 @@ def sensitivity_sweep(
     target = 1.0 - _check_unit(patient_pain, "patient pain")
     j_lo, j_hi = joint_bounds(u, v)
     lams = check_lambdas(lambda_grid)
+    paths = _spine_paths((j_lo, j_hi, grid_points))
     rows = []
     for p in p_list:
-        j_opt, s_opt = _solve(u, v, j_lo, j_hi, target, order_code(p), lams, grid_points)
+        j_opt, s_opt = _solve(
+            u, v, j_lo, j_hi, target, order_code(p), lams, grid_points, paths=paths
+        )
         rows.extend(
             SweepRow(p, lam, j, s, target - s)
             for lam, j, s in zip(lams.tolist(), j_opt.tolist(), s_opt.tolist())
@@ -587,10 +595,12 @@ def legacy_comparison_sweep(
     _check_grid(grid_points)
     target = 1.0 - _check_unit(patient_pain, "patient pain")
     j_lo, j_hi = joint_bounds(u, v)
+    paths = _spine_paths((j_lo, j_hi, grid_points))
     rows = []
     for p in p_list:
         j, s = _solve(
-            u, v, j_lo, j_hi, target, order_code(p), np.ones(1), grid_points, blind=True
+            u, v, j_lo, j_hi, target, order_code(p), np.ones(1), grid_points, blind=True,
+            paths=paths,
         )
         rows.append(LegacySweepRow(p, j.item(), s.item(), target - s.item()))
     return rows

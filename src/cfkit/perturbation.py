@@ -12,6 +12,10 @@ every trial in one pass over uint32/uint64 arrays (numpy's SeedSequence
 mixing, PCG64 seeding and its first XSL-RR output; O'Neill, "PCG: A Family
 of Simple Fast Space-Efficient Statistically Good Algorithms for Random
 Number Generation", 2014), so no generator is built per trial.
+
+``write_study`` writes a study as CSV.  It lives here, beside
+``StudyResult``, so that ``cfkit simulate`` imports neither the solver nor
+the score.
 """
 
 from __future__ import annotations
@@ -28,6 +32,13 @@ from .errors import EmptyRangeError, OutOfEpsilonRangeError, OutOfRangeError
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 100
+
+STUDY_HEADER = (
+    "trial", "epsilon", "p", "lambda",
+    "d_m", "d_h", "d_c", "delta_d_m", "delta_d_h", "delta_d_c",
+)
+
+_BLOCK_ROWS = 4096
 
 
 def epsilon_bounds(f: CognitiveFuzzyNumber) -> tuple[float, float]:
@@ -295,6 +306,66 @@ def run_study(config: PerturbationConfig) -> StudyResult:
         for lam in config.lambda_values:
             d_c[(p, lam)], delta_c[(p, lam)] = split(backends.mix(lam, m, h))
     return StudyResult(config, eps, *split(h), d_m, delta_m, d_c, delta_c)
+
+
+def _text_source(column: np.ndarray, *candidates: np.ndarray) -> np.ndarray:
+    """The first of ``candidates`` with ``column``'s bits, else ``column`` itself."""
+    bits = column.view(np.int64)
+    for candidate in candidates:
+        if np.array_equal(bits, candidate.view(np.int64)):
+            return candidate
+    return column
+
+
+def write_study(fh, result: StudyResult) -> None:
+    """Write a study as ``STUDY_HEADER`` CSV to the open text file ``fh``.
+
+    One row per (trial, p, lambda), in that order, with the bytes
+    ``csv.writer`` gives ``(i, epsilon, p, lambda, *cell)`` rows.  Trials go
+    out in blocks of about ``_BLOCK_ROWS`` rows, one ``fh.write`` each, so
+    the text held at once is bounded by the block.
+
+    A block formats each distinct column once, with ``repr``: ``d_h`` and
+    ``delta_d_h`` for all cells, ``d_m`` and ``delta_d_m`` once per p, and
+    ``d_c`` and ``delta_d_c`` once per (p, lambda), unless they have the
+    bits of ``d_h`` or ``d_m`` (``delta_d_h`` or ``delta_d_m``) of their p
+    and take that text.  They do at lambda 0 and 1, since ``0 * x + 1 * y
+    == y`` for finite x and y, but the writer compares the ``int64`` views
+    and never assumes it.  A block is one list of pieces, filled column by
+    column with slice assignment, and one ``"".join``.
+    """
+    p_values, lams = result.config.p_values, result.config.lambda_values
+    cells = [(p, lam) for p in p_values for lam in lams]
+    columns = [
+        (result.d_m[p], result.d_h, _text_source(result.d_c[(p, lam)], result.d_h, result.d_m[p]),
+         result.delta_d_m[p], result.delta_d_h,
+         _text_source(result.delta_d_c[(p, lam)], result.delta_d_h, result.delta_d_m[p]))
+        for p, lam in cells
+    ]
+    step = max(1, _BLOCK_ROWS // len(cells))
+    # A line is 14 pieces: "i,epsilon,", "p,lambda,", then the six
+    # distances, each followed by "," or, after the last, "\n".
+    width = 14
+    stride = len(cells) * width
+    template = [","] * (step * stride)
+    template[width - 1::width] = ["\n"] * (step * len(cells))
+    for k, (p, lam) in enumerate(cells):
+        template[k * width + 1::stride] = [f"{p},{lam},"] * step
+
+    fh.write(",".join(STUDY_HEADER) + "\n")
+    for start in range(0, len(result.epsilons), step):
+        block = slice(start, start + step)
+        trial = [f"{i},{e!r}," for i, e in enumerate(result.epsilons[block].tolist(), start)]
+        pieces = template[:len(trial) * stride]
+        texts = {}
+        for k, cell_columns in enumerate(columns):
+            pieces[k * width::stride] = trial
+            for slot, column in enumerate(cell_columns, start=1):
+                text = texts.get(id(column))
+                if text is None:
+                    text = texts[id(column)] = list(map(repr, column[block].tolist()))
+                pieces[k * width + 2 * slot::stride] = text
+        fh.write("".join(pieces))
 
 
 class TrendRow(NamedTuple):

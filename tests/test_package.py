@@ -35,6 +35,8 @@ EXPORTS = {
 }
 # Modules that the distance command does not need.
 NOT_FOR_DISTANCE = ["cfkit.figures", "cfkit.pain", "cfkit.perturbation", "cfkit.score"]
+# Modules that the simulate command does not need: it neither solves nor scores.
+NOT_FOR_SIMULATE = ["cfkit.figures", "cfkit.pain", "cfkit.score"]
 
 
 def run(code):
@@ -60,6 +62,19 @@ assert cfkit.cli.main(argv) == 0
 print(loaded())
 """
     assert run(code) == ["-", "-"]
+
+
+def test_simulate_imports_neither_solver_nor_score(tmp_path):
+    code = f"""
+import sys
+import cfkit.cli
+argv = ["simulate", "--pair", "0.8,0.4,0.32", "0.1,0.9,0.09", "--trials", "5",
+        "--out", {str(tmp_path / "study.csv")!r}]
+assert cfkit.cli.main(argv) == 0
+print(",".join(m for m in {NOT_FOR_SIMULATE!r} if m in sys.modules) or "-")
+"""
+    assert run(code) == ["-"]
+    assert (tmp_path / "study.csv").read_text().count("\n") == 1 + 5 * 3 * 5
 
 
 def test_import_loads_numpy_and_no_submodule():
