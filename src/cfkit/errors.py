@@ -34,4 +34,8 @@ class ItemOutOfRangeError(CfkitError, ValueError):
 
 
 class EmptyFeasibleRegionError(CfkitError, ValueError):
-    """Solver feasible interval is empty (defensive; unreachable for valid inputs)."""
+    """Solver feasible interval is empty.
+
+    No code raises it: ``joint_bounds`` never returns an empty interval.  It
+    stays exported, in ``cfkit.__all__`` too, for code that catches it.
+    """

@@ -11,25 +11,20 @@ dense grid scan refined by ternary search.  Where the optimal ``j`` sits in
 its interval (the confusion ratio) flags low-confidence assessments.
 
 One solver, ``_solve``, serves every entry point and scores every point
-through one kernel chain: ``backends.line_terms`` builds the anchor terms
-straight from ``(u, v, j)``, and ``terms_parts``, ``combine`` and ``ratio``
-give the score.  The grid scan returns the full scan's argmin bit for bit
-but scores only what could hold it: every ``_SPAN``-th grid point and the
-last one first, then the interior of a block between two of them only where
-interval bounds on the block's scores, from its endpoints' terms, could reach
-the best endpoint objective (see ``_scan``); it scores the kept points at
-most ``_BLOCK`` per kernel call.  The refinement runs for all lambdas
-together.  Most answers sit on a bound of the grid, and the brackets there,
-their paths of ternary steps toward the bound and the final check at each
-path's end are known before anything is scored (see ``_spine_paths``).
-The scan's first kernel call scores those points with the block endpoints,
-so a bracket whose walk along its path reaches the tolerance (see
-``_spine``) needs no call of its own: most solves make two kernel calls,
-the endpoints and one of kept interior points.  Other brackets go to
-kernel calls that score the whole depth-``_DEPTH`` tree of ternary steps
-below every live bracket, and a walk down the tree takes the steps that
-one call per step would take, bit for bit; their final check is one more
-call.
+through one kernel chain, with lambda as an array axis: ``backends.line_terms``
+builds the anchor terms straight from ``(u, v, j)``, ``terms_parts``, one
+``combine`` for all lambdas and ``ratio`` give the scores, and ``np.square``
+of their gap to the target the objectives.  The grid scan returns the full
+scan's argmin bit for bit but scores only what could hold it: every
+``_SPAN``-th grid point and the last one first, then the interior of a block
+between two of them only where interval bounds on the block's scores, from
+its endpoints' terms, could reach the best endpoint objective of some lambda
+(see ``_scan``); it scores the kept points at most ``_BLOCK`` per kernel
+call.  Most answers sit on a bound of the grid, where the ternary steps of
+the refinement are known before anything is scored, so most solves make two
+kernel calls: the endpoints with those steps, then the kept interior points.
+Other brackets score a depth-``_DEPTH`` tree of steps per call (see
+``_solve``).
 ``solve_programming1`` is the one-lambda case, ``sensitivity_sweep`` solves
 once per order over the whole lambda grid, and ``legacy_comparison_sweep``
 scores rows with their hesitancy dropped at lambda = 1, which is the
@@ -66,12 +61,14 @@ REFINE_TOL = 1e-8
 # solve within the host's noise.
 _SPAN = 64
 # Kept grid points per kernel call of the grid scan.  A (6, 2048) term array
-# is 96 KiB, under glibc's 128 KiB mmap threshold, so every array of a call
-# comes from the heap and is reused by the next call.  Larger arrays are
-# mapped, freed and page-faulted back in every solve that keeps that many
-# points: on two 600-solve clinic-like streams, where about 4% of the solves
-# keep more than 4000 points, minor faults per solve were 0.3-0.4 with
-# 2048-point calls, 6-8 with 4096 and 9-13 with one call for all kept points.
+# is 96 KiB and a lambda's row of 2048 scores 16 KiB, under glibc's 128 KiB
+# mmap threshold, so a one-lambda call's arrays come from the heap and are
+# reused by the next call.  Larger arrays are mapped, freed and faulted back
+# in every solve that keeps that many points: on two 600-solve clinic-like
+# streams, minor faults per solve were 0.3-0.4 with 2048-point calls, 6-8 with
+# 4096 and 9-13 with one call for all kept points.  The bound holds per lambda
+# row: a sweep's (21, 2048) arrays are 336 KiB, and a sweep whose scans keep
+# every block faults about 5,000 times.
 _BLOCK = 2048
 # Ternary steps per refinement call: each call scores the 2 * (2**5 - 1) =
 # 62 points of the whole depth-5 tree below a live bracket.  A solve takes up
@@ -197,9 +194,9 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False, paths
     those scores, so a solve whose scan keeps at most ``_BLOCK`` interior
     points makes two kernel calls in all.  The other brackets go to the
     depth-``_DEPTH`` tree of ``_refine``, and their final check is one more
-    call.  ``objective`` scores a ``(levels, n)`` array of points, one lambda
-    per column, through the same kernels.  The kernels are elementwise, so a
-    point's score has the same bits in whichever call scores it.  ``blind``
+    call.  Every later call scores through ``_objective``; the kernels are
+    elementwise and every objective is ``np.square`` of the gap, so a point
+    has the same bits in whichever call, under however many lambdas.  ``blind``
     zeroes the hesitancy column: with lambda = 1 that is the hesitancy-blind
     Minkowski score, bit for bit.  ``paths`` is ``_spine_paths`` of the
     line, which a sweep computes once for all its orders.
@@ -215,19 +212,8 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False, paths
     if flat:
         return j_opt, s_opt
 
-    def objective(j, lam):
-        terms = backends.line_terms(u, v, j.ravel(), blind)
-        parts = [x.reshape(j.shape) for x in backends.terms_parts(terms, code)]
-        s = backends.ratio(backends.combine(parts, lam))
-        # The refinement compares C pow squares (what Python's float ** gives),
-        # the grid argmin numpy's exact square.  The two differ in about 0.1%
-        # of values, enough to flip a near-tie step, and the published sweep
-        # bytes were produced this way.
-        return np.float_power(target - s, 2), s
-
-    obj_paths = np.float_power(target - s_paths, 2)
     bound = [-1 if i == 0 else int(i == grid_points - 1) for i in k.tolist()]
-    lo, hi, stored = _refine(objective, lams, lo, hi, bound, paths, obj_paths.tolist())
+    lo, hi, stored = _refine(u, v, target, code, lams, blind, lo, hi, bound, paths, s_paths)
 
     # The final check: the grid optimum, then the last bracket's ends and
     # midpoint.  The first of the least objectives wins, as a candidate that
@@ -238,11 +224,23 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False, paths
     s[0] = s_opt
     rest = [i for i in range(len(lams)) if i not in stored]
     if rest:
-        s[1:, rest] = objective(j[1:, rest], lams[rest])[1]
+        s[1:, rest] = _objective(u, v, j[1:, rest], target, code, lams[rest], blind)[1]
     for i, c in stored.items():
         s[1:, i] = s_paths[i, c:c + 3]
-    pick = np.float_power(target - s, 2).argmin(0), np.arange(len(lams))
+    pick = np.square(target - s).argmin(0), np.arange(len(lams))
     return j[pick], s[pick]
+
+
+def _objective(u, v, j, target, code, lam, blind) -> tuple[np.ndarray, np.ndarray]:
+    """The objective ``(target - s)**2`` and the score ``s`` at the joint degrees ``j``.
+
+    ``lam`` broadcasts against ``j``: one lambda per column of a ``(levels,
+    n)`` tree, or a ``(len(lams), 1)`` column that scores 1-D ``j`` for all.
+    """
+    terms = backends.line_terms(u, v, j.ravel(), blind)
+    parts = [x.reshape(j.shape) for x in backends.terms_parts(terms, code)]
+    s = backends.ratio(backends.combine(parts, lam))
+    return np.square(target - s), s
 
 
 def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarray, ...]:
@@ -298,9 +296,10 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
       too, so no pruned point's objective can fall to the best one.
 
     A zero-width interval (``flat``) has one j, and scores one point and
-    ``extra``.  Kept points are scored at most ``_BLOCK`` per kernel call,
-    and each lambda's argmin is taken per call with the same rule: first in
-    grid order on a tie.
+    ``extra``.  Kept points are scored at most ``_BLOCK`` per kernel call.
+    Each call scores its points for all lambdas, one row each, with one
+    ``combine``; each row's argmin follows the same rule: first in grid
+    order on a tie.
     """
     grid_points = line[2]
     # every _SPAN-th grid point, then the last one
@@ -315,37 +314,31 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
     t = backends.line_terms(u, v, np.concatenate([_grid_at(ends, *line), extra]), blind)
     left, right = t[:, :e - 1], t[:, 1:e]
     t = np.concatenate([t, np.minimum(left, right), np.maximum(left, right)], 1)
-    parts = backends.terms_parts(t, code)
-    k = np.empty(len(lams), dtype=np.intp)
-    best = np.empty(len(lams))
-    s_opt = np.empty(len(lams))
-    s_extra = np.empty((len(lams), len(extra)))
-    keep = np.zeros(e - 1, dtype=bool)
-    for i, lam in enumerate(lams.tolist()):
-        d_worst, d_best = backends.combine(parts, lam)
-        s = backends.ratio((d_worst[:f], d_best[:f]))
-        s_extra[i] = s[e:]
-        obj = np.square(np.subtract(target, s[:e]))
-        m = obj.argmin()
-        k[i], best[i], s_opt[i] = ends[m], obj[m], s[m]
-        s_lo = backends.ratio((d_worst[f:f + e - 1], d_best[f + e - 1:])) - _SLACK
-        s_hi = backends.ratio((d_worst[f + e - 1:], d_best[f:f + e - 1])) + _SLACK
-        gap = np.maximum(np.maximum(s_lo - target, target - s_hi), 0.0)
-        keep |= ~(np.square(gap) > best[i])
+    lam = lams[:, None]
+    rows = np.arange(len(lams))
+    d_worst, d_best = backends.combine(backends.terms_parts(t, code), lam)
+    s = backends.ratio((d_worst[:, :f], d_best[:, :f]))
+    obj = np.square(target - s[:, :e])
+    m = obj.argmin(1)
+    k, best, s_opt = ends[m], obj[rows, m], s[rows, m]
+    s_lo = backends.ratio((d_worst[:, f:f + e - 1], d_best[:, f + e - 1:])) - _SLACK
+    s_hi = backends.ratio((d_worst[:, f + e - 1:], d_best[:, f:f + e - 1])) + _SLACK
+    gap = np.maximum(np.maximum(s_lo - target, target - s_hi), 0.0)
+    keep = ~(np.square(gap) > best[:, None]).all(0)
 
     # the interiors of the kept blocks, short of the last grid point
     index = (ends[np.flatnonzero(keep), None] + np.arange(1, _SPAN)).ravel()
     index = index[index < grid_points - 1]
+    s_extra = s[:, e:]
     for b in range(0, len(index), _BLOCK):
         chunk = index[b:b + _BLOCK]
-        terms = backends.line_terms(u, v, _grid_at(chunk, *line), blind)
-        parts = backends.terms_parts(terms, code)
-        for i, lam in enumerate(lams.tolist()):
-            s = backends.ratio(backends.combine(parts, lam))
-            obj = np.square(np.subtract(target, s))
-            m = obj.argmin()
-            if obj[m] < best[i] or (obj[m] == best[i] and chunk[m] < k[i]):
-                k[i], best[i], s_opt[i] = chunk[m], obj[m], s[m]
+        obj, s = _objective(u, v, _grid_at(chunk, *line), target, code, lam, blind)
+        m = obj.argmin(1)
+        o, at = obj[rows, m], chunk[m]
+        win = (o < best) | ((o == best) & (at < k))
+        np.copyto(k, at, where=win)
+        np.copyto(best, o, where=win)
+        np.copyto(s_opt, s[rows, m], where=win)
     return k, s_opt, s_extra
 
 
@@ -391,31 +384,32 @@ def _spine(paths, obj, lo, hi, cells, bound) -> dict:
 
     ``paths`` is ``_spine_paths``'s result and ``obj`` the objective of its
     points, already scored, one row per lambda.  The walk takes each step by
-    ``_refine``'s rule and stops at the first one that goes the other way,
-    leaving that bracket to the tree.  ``lo`` and ``hi`` are lists and are
-    updated in place.  Returns, for each cell that walked its whole path,
-    the index in ``paths`` where its final check's three points start.
+    ``_refine``'s rule up to the first one that goes the other way, found in
+    one search of the row, and leaves that bracket to the tree.  ``lo`` and
+    ``hi`` are lists and are updated in place.  Returns, for each cell that
+    walked its whole path, the index in ``paths`` where its final check's
+    three points start.
     """
     points, sides = paths
     stored = {}
     for i in cells:
         b = bound[i]
         start, n = sides[b]
-        o = obj[i]
-        for d in range(start, start + n):
-            if (o[d] < o[n + d]) != (b < 0):
-                break
+        o = obj[i, start:start + 2 * n]
+        turn = (o[:n] < o[n:]) != (b < 0)  # where a step would go the other way
+        t = int(turn.argmax()) if turn.any() else n
+        if t:
             if b < 0:
-                hi[i] = points[n + d]
+                hi[i] = points[start + n + t - 1]
             else:
-                lo[i] = points[d]
-        else:
+                lo[i] = points[start + t - 1]
+        if t == n:
             stored[i] = start + 2 * n
     return stored
 
 
 def _refine(
-    objective, lams, lo, hi, bound, paths, obj_paths
+    u, v, target, code, lams, blind, lo, hi, bound, paths, s_paths
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Ternary-search every bracket ``[lo[i], hi[i]]`` down to REFINE_TOL.
 
@@ -424,18 +418,19 @@ def _refine(
     else ``(m1, h)``; a bracket steps while ``h - l > REFINE_TOL``.
     ``bound[i]`` is -1 where the grid optimum is the first grid point, 1
     where it is the last and 0 elsewhere.  The brackets at a bound first
-    walk their path toward it, on the objective ``obj_paths`` that the scan
-    scored (see ``_spine``): for most of them that is every step, and no
-    kernel call.  Then each round scores, in one ``objective`` call, the
-    points of every step the next ``_DEPTH`` steps could take: the whole
-    tree of brackets below each live cell's current one.  Walking down it
-    takes the same steps, on the same bits, as stepping one call at a time.
-    Returns the final brackets, and ``_spine``'s result: where the final
-    checks that are already scored sit in the paths.
+    walk their path toward it, on the scores ``s_paths`` that the scan made
+    (see ``_spine``): for most of them that is every step, and no kernel
+    call.  Then each round scores, in one ``_objective`` call, the points of
+    every step the next ``_DEPTH`` steps could take: the whole tree of
+    brackets below each live cell's current one.  Walking down it takes the
+    same steps, on the same bits, as stepping one call at a time.  The other
+    arguments are ``_objective``'s.  Returns the final brackets, and
+    ``_spine``'s result: where the final checks already scored sit in the
+    paths.
     """
     lo, hi = lo.tolist(), hi.tolist()
     cells = [i for i, b in enumerate(bound) if b]
-    stored = _spine(paths, obj_paths, lo, hi, cells, bound) if cells else {}
+    stored = _spine(paths, np.square(target - s_paths), lo, hi, cells, bound) if cells else {}
     live = [i for i, (l, h) in enumerate(zip(lo, hi)) if h - l > REFINE_TOL]
     while live:
         n = len(live)
@@ -454,7 +449,8 @@ def _refine(
             third = (tree[size - k:] - tree[:k]) / 3.0
             np.add(tree[:k], third, out=tree[k:2 * k])
             np.subtract(tree[size - k:], third, out=tree[size - 2 * k:size - k])
-        obj = objective(tree[n:-n].reshape(-1, n), lams[live])[0].ravel().tolist()
+        j = tree[n:-n].reshape(-1, n)
+        obj = _objective(u, v, j, target, code, lams[live], blind)[0].ravel().tolist()
         tree = tree.tolist()
         still = []
         for c, i in enumerate(live):

@@ -136,8 +136,9 @@ class StudyResult:
 
     ``epsilons`` holds the draws, ``d_h`` and ``delta_d_h`` one column for
     the study, ``d_m[p]`` and ``delta_d_m[p]`` one per order, and
-    ``d_c[(p, lam)]`` and ``delta_d_c[(p, lam)]`` one per cell.  ``columns``,
-    ``records`` and ``summary`` are views built from them on each access.
+    ``d_c[(p, lam)]`` and ``delta_d_c[(p, lam)]`` one per cell or shared
+    with ``d_h`` or ``d_m`` (see ``run_study``).  ``columns``, ``records``
+    and ``summary`` are views built from them on each access.
     """
 
     config: PerturbationConfig
@@ -279,7 +280,10 @@ def run_study(config: PerturbationConfig) -> StudyResult:
 
     Every trial's perturbed CFN is built and checked at once by
     ``validate_rows``, bit for bit as ``perturb`` builds it, and scored
-    against the second CFN by broadcasting its one component row.
+    against the second CFN by broadcasting its one component row.  A cell
+    whose combined distances have the bits of ``cf_h`` or ``cf_im``, as at
+    lambda 0 and 1 (``0 * x + 1 * y == y``; compared, never assumed),
+    stores the ``d_h`` or ``d_m[p]`` arrays and their deltas themselves.
     """
     f1, f2 = config.base_pair
     lo, hi = epsilon_bounds(f1)
@@ -299,22 +303,20 @@ def run_study(config: PerturbationConfig) -> StudyResult:
         return d[:-1], np.abs(d[:-1] - d[-1])
 
     h = backends.cfh_pairwise(rows, base2)
+    d_h, delta_h = split(h)
     d_m, delta_m, d_c, delta_c = {}, {}, {}, {}
     for p in config.p_values:
         m = backends.cfim_pairwise(rows, base2, order_code(p))
         d_m[p], delta_m[p] = split(m)
         for lam in config.lambda_values:
-            d_c[(p, lam)], delta_c[(p, lam)] = split(backends.mix(lam, m, h))
-    return StudyResult(config, eps, *split(h), d_m, delta_m, d_c, delta_c)
-
-
-def _text_source(column: np.ndarray, *candidates: np.ndarray) -> np.ndarray:
-    """The first of ``candidates`` with ``column``'s bits, else ``column`` itself."""
-    bits = column.view(np.int64)
-    for candidate in candidates:
-        if np.array_equal(bits, candidate.view(np.int64)):
-            return candidate
-    return column
+            c = backends.mix(lam, m, h)
+            if np.array_equal(c.view(np.int64), h.view(np.int64)):
+                d_c[(p, lam)], delta_c[(p, lam)] = d_h, delta_h
+            elif np.array_equal(c.view(np.int64), m.view(np.int64)):
+                d_c[(p, lam)], delta_c[(p, lam)] = d_m[p], delta_m[p]
+            else:
+                d_c[(p, lam)], delta_c[(p, lam)] = split(c)
+    return StudyResult(config, eps, d_h, delta_h, d_m, delta_m, d_c, delta_c)
 
 
 def write_study(fh, result: StudyResult) -> None:
@@ -325,21 +327,18 @@ def write_study(fh, result: StudyResult) -> None:
     out in blocks of about ``_BLOCK_ROWS`` rows, one ``fh.write`` each, so
     the text held at once is bounded by the block.
 
-    A block formats each distinct column once, with ``repr``: ``d_h`` and
-    ``delta_d_h`` for all cells, ``d_m`` and ``delta_d_m`` once per p, and
-    ``d_c`` and ``delta_d_c`` once per (p, lambda), unless they have the
-    bits of ``d_h`` or ``d_m`` (``delta_d_h`` or ``delta_d_m``) of their p
-    and take that text.  They do at lambda 0 and 1, since ``0 * x + 1 * y
-    == y`` for finite x and y, but the writer compares the ``int64`` views
-    and never assumes it.  A block is one list of pieces, filled column by
-    column with slice assignment, and one ``"".join``.
+    A block formats each distinct column object once, with ``repr``:
+    ``d_h`` and ``delta_d_h`` for all cells, ``d_m`` and ``delta_d_m`` once
+    per p, and ``d_c`` and ``delta_d_c`` once per (p, lambda) unless
+    ``run_study`` stored the ``d_h`` or ``d_m`` arrays there.  A block is one
+    list of pieces, filled column by column with slice assignment, and one
+    ``"".join``.
     """
     p_values, lams = result.config.p_values, result.config.lambda_values
     cells = [(p, lam) for p in p_values for lam in lams]
     columns = [
-        (result.d_m[p], result.d_h, _text_source(result.d_c[(p, lam)], result.d_h, result.d_m[p]),
-         result.delta_d_m[p], result.delta_d_h,
-         _text_source(result.delta_d_c[(p, lam)], result.delta_d_h, result.delta_d_m[p]))
+        (result.d_m[p], result.d_h, result.d_c[(p, lam)],
+         result.delta_d_m[p], result.delta_d_h, result.delta_d_c[(p, lam)])
         for p, lam in cells
     ]
     step = max(1, _BLOCK_ROWS // len(cells))

@@ -81,7 +81,7 @@ def reference_solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=Fal
     def objective(j, lam):
         parts = backends.anchor_parts(solver_rows(u, v, j, blind), code)
         s = backends.ratio(backends.combine(parts, lam))
-        return np.float_power(target - s, 2), s
+        return np.square(target - s), s
 
     lo = grid[np.maximum(k - 1, 0)]
     hi = grid[np.minimum(k + 1, grid_points - 1)]
@@ -96,7 +96,7 @@ def reference_solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=Fal
         lo[live] = np.where(left, l, m1)
         live = hi - lo > REFINE_TOL
 
-    best_obj = np.float_power(target - s_opt, 2)
+    best_obj = np.square(target - s_opt)
     candidates = (lo, 0.5 * (lo + hi), hi)
     obj, s = objective(np.concatenate(candidates), np.tile(lams, 3))
     for j_c, obj_c, s_c in zip(candidates, obj.reshape(3, -1), s.reshape(3, -1)):
@@ -335,6 +335,39 @@ class TestGridScan:
         stop = min(1.0, start + width)
         got = pain._grid_at(np.arange(grid_points), start, stop, grid_points)
         assert got.tobytes() == np.linspace(start, stop, grid_points).tobytes()
+
+    # A bound optimum whose scan keeps under pain._BLOCK points, and all ties
+    # (u == v at lambda = 0), where every block is kept and scored in 5 calls.
+    @pytest.mark.parametrize("uv, target, lam, grid_points, kernel_calls", [
+        ((0.07, 0.86), 12 / 70, 0.5, 2049, 2),
+        ((0.3, 0.3), 0.2, 0.0, 10001, 6),
+    ])
+    def test_scan_combines_once_per_kernel_call(self, uv, target, lam, grid_points, kernel_calls,
+                                                monkeypatch):
+        # Lambda is an array axis of the scan: each kernel call scores its
+        # points for every lambda with one combine, so 21 lambdas take the
+        # calls that one does.
+        calls, scanned = [], []
+        for name in ("line_terms", "combine"):
+            def record(*args, name=name, function=getattr(backends, name)):
+                calls.append(name)
+                return function(*args)
+
+            monkeypatch.setattr(backends, name, record)
+        scan = pain._scan
+
+        def record_scan(*args):
+            calls.clear()
+            result = scan(*args)
+            scanned.append(list(calls))
+            return result
+
+        monkeypatch.setattr(pain, "_scan", record_scan)
+        u, v = uv
+        for lams in (np.array([lam]), np.linspace(0.0, 1.0, 21)):
+            pain._solve(u, v, *joint_bounds(u, v), target, 3, lams, grid_points)
+        one, many = scanned
+        assert many == one == ["line_terms", "combine"] * kernel_calls
 
     @pytest.mark.parametrize("grid_points", [2047, 2048, 2049, 4097, 10001])
     def test_all_ties_first_point_wins(self, grid_points, monkeypatch):

@@ -204,6 +204,17 @@ class TestRunStudy:
                 assert record.cells[(p, 0.0)].delta_d_c == record.cells[(p, 0.0)].delta_d_h
                 assert record.cells[(p, 1.0)].delta_d_c == record.cells[(p, 1.0)].delta_d_m
 
+    def test_bit_equal_cells_share_arrays(self, study):
+        # study's lambdas are 0, 0.25, 0.5, 0.75 and 1
+        for p in (1, 2, 3):
+            assert study.d_c[(p, 0.0)] is study.d_h
+            assert study.delta_d_c[(p, 0.0)] is study.delta_d_h
+            assert study.d_c[(p, 1.0)] is study.d_m[p]
+            assert study.delta_d_c[(p, 1.0)] is study.delta_d_m[p]
+            half = study.d_c[(p, 0.5)], study.delta_d_c[(p, 0.5)]
+            assert not any(c is x for c in half for x in
+                           (study.d_h, study.delta_d_h, study.d_m[p], study.delta_d_m[p]))
+
     def test_mean_delta_c_nondecreasing_in_lambda(self, study):
         lams = (0.0, 0.25, 0.5, 0.75, 1.0)
         for p in (1, 2, 3):
