@@ -11,10 +11,11 @@ dense grid scan refined by ternary search.  Where the optimal ``j`` sits in
 its interval (the confusion ratio) flags low-confidence assessments.
 
 One solver, ``_solve``, serves every entry point and scores every point
-through one kernel chain, with lambda as an array axis: ``backends.line_terms``
-builds the anchor terms straight from ``(u, v, j)``, ``terms_parts``, one
-``combine`` for all lambdas and ``ratio`` give the scores, and ``np.square``
-of their gap to the target the objectives.  The grid scan returns the full
+through one kernel chain: ``backends.line_terms`` builds the anchor terms
+straight from ``(u, v, j)`` in the shape of ``j``, ``terms_parts`` makes the
+parts of both anchors as one leading axis, one ``combine`` mixes them for a
+column of all lambdas, ``ratio`` gives the scores, and ``np.square`` of their
+gap to the target the objectives.  The grid scan returns the full
 scan's argmin bit for bit but scores only what could hold it: every
 ``_SPAN``-th grid point and the last one first, then the interior of a block
 between two of them only where interval bounds on the block's scores, from
@@ -53,28 +54,26 @@ RECOMMEND_SECOND_NURSE = "second_nurse_suggested"
 DEFAULT_CONFUSION_THRESHOLD = 0.9
 DEFAULT_GRID_POINTS = 10001
 REFINE_TOL = 1e-8
-# Grid points per pruning block of the grid scan: it scores every _SPAN-th
-# point and the last one, and the interior of a block only where the bounds
-# those endpoints give could reach the best endpoint objective.  A 10001-point
-# grid has 158 endpoints.  On a clinic stream, spans of 32, 64 and 128 score
-# 6.8%, 7.9% and 11.7% of the grid's points in all, and cost the same per
-# solve within the host's noise.
+# Grid points per pruning block of the grid scan (see ``_scan``); a
+# 10001-point grid has 158 endpoints.  On a clinic stream, spans of 32, 64 and
+# 128 score 6.8%, 7.9% and 11.7% of the grid and cost the same per solve.
 _SPAN = 64
 # Kept grid points per kernel call of the grid scan.  A (6, 2048) term array
-# is 96 KiB and a lambda's row of 2048 scores 16 KiB, under glibc's 128 KiB
-# mmap threshold, so a one-lambda call's arrays come from the heap and are
-# reused by the next call.  Larger arrays are mapped, freed and faulted back
-# in every solve that keeps that many points: on two 600-solve clinic-like
-# streams, minor faults per solve were 0.3-0.4 with 2048-point calls, 6-8 with
-# 4096 and 9-13 with one call for all kept points.  The bound holds per lambda
-# row: a sweep's (21, 2048) arrays are 336 KiB, and a sweep whose scans keep
-# every block faults about 5,000 times.
+# is 96 KiB and an (anchor, lambda) row of 2048 distances or scores 16 KiB,
+# under glibc's 128 KiB mmap threshold, so a one-lambda call's arrays come
+# from the heap and are reused by the next call.  Larger arrays are mapped,
+# freed and faulted back in every solve that keeps that many points: on two
+# 600-solve clinic-like streams, minor faults per solve were 0.3-0.4 with
+# 2048-point calls, 6-8 with 4096 and 9-13 with one call for all kept points.
+# The bound holds per (anchor, lambda) row: an anchor's (21, 2048) arrays in a
+# sweep are 336 KiB, and a sweep whose scans keep every block faults about
+# 5,000 times.
 _BLOCK = 2048
-# Ternary steps per refinement call: each call scores the 2 * (2**5 - 1) =
-# 62 points of the whole depth-5 tree below a live bracket.  A solve takes up
-# to about 21 steps, so at most 5 calls instead of one per step; deeper trees
-# score more points than they save calls once a sweep refines 21 brackets at
-# once.
+_INTERIOR = np.arange(1, _SPAN)  # a block's interior, from its first endpoint
+_NEIGHBOURS = np.array([[0], [-1], [1]])  # a grid optimum, then its neighbours
+# Ternary steps per refinement call: each scores the 62 points of the whole
+# depth-5 tree below a live bracket, and a solve takes up to about 21 steps.
+# Deeper trees score more points than they save calls in a 21-lambda sweep.
 _DEPTH = 5
 # Absolute widening of the score bounds of a pruning block.  The computed
 # score is within a few ulps of the exact one (see ``_scan``), under 1e-15.
@@ -111,13 +110,13 @@ class PainAssessment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "patient_items", tuple(self.patient_items))
-        normalize_patient_score(self.patient_items)
+        object.__setattr__(self, "_pain", normalize_patient_score(self.patient_items))
         for name in ("sim_to_scale0", "sim_to_scale10"):
             object.__setattr__(self, name, _check_unit(getattr(self, name), name))
 
     @property
     def patient_pain(self) -> float:
-        return normalize_patient_score(self.patient_items)
+        return self._pain
 
 
 def assessment_from_dict(data: dict) -> tuple[PainAssessment, DistanceParams]:
@@ -191,15 +190,14 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False, paths
     ``_spine_paths``).  The scan's first kernel call scores those points with
     the block endpoints, for every lambda.  A bound optimum whose walk along
     its path reaches REFINE_TOL (see ``_spine``) reads its final check from
-    those scores, so a solve whose scan keeps at most ``_BLOCK`` interior
+    those scores, so a solve whose scan keeps at most one call's interior
     points makes two kernel calls in all.  The other brackets go to the
     depth-``_DEPTH`` tree of ``_refine``, and their final check is one more
-    call.  Every later call scores through ``_objective``; the kernels are
-    elementwise and every objective is ``np.square`` of the gap, so a point
-    has the same bits in whichever call, under however many lambdas.  ``blind``
-    zeroes the hesitancy column: with lambda = 1 that is the hesitancy-blind
-    Minkowski score, bit for bit.  ``paths`` is ``_spine_paths`` of the
-    line, which a sweep computes once for all its orders.
+    call.  The kernels are elementwise and every objective is ``np.square``
+    of the gap, so a point has the same bits in whichever call, under however
+    many lambdas.  ``blind`` zeroes the hesitancy: with lambda = 1 that is
+    the hesitancy-blind Minkowski score, bit for bit.  ``paths`` is
+    ``_spine_paths`` of the line, which a sweep computes once.
     """
     flat = j_hi - j_lo <= 0.0
     line = (j_lo, j_hi, grid_points)
@@ -207,7 +205,7 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False, paths
         paths = _spine_paths(line)
     k, s_opt, s_paths = _scan(u, v, line, target, code, lams, blind, flat, paths[0])
     # each grid optimum, then its two neighbours, which bracket the refinement
-    at = np.minimum(np.maximum(k + np.array([[0], [-1], [1]]), 0), grid_points - 1)
+    at = np.minimum(np.maximum(k + _NEIGHBOURS, 0), grid_points - 1)
     j_opt, lo, hi = _grid_at(at, *line)
     if flat:
         return j_opt, s_opt
@@ -219,7 +217,7 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False, paths
     # midpoint.  The first of the least objectives wins, as a candidate that
     # replaces an earlier one only where it is strictly better would; no
     # objective is NaN, since d_worst + d_best >= 1.
-    j = np.stack((j_opt, lo, 0.5 * (lo + hi), hi))
+    j = np.array((j_opt, lo, 0.5 * (lo + hi), hi))
     s = np.empty_like(j)
     s[0] = s_opt
     rest = [i for i in range(len(lams)) if i not in stored]
@@ -235,10 +233,10 @@ def _objective(u, v, j, target, code, lam, blind) -> tuple[np.ndarray, np.ndarra
     """The objective ``(target - s)**2`` and the score ``s`` at the joint degrees ``j``.
 
     ``lam`` broadcasts against ``j``: one lambda per column of a ``(levels,
-    n)`` tree, or a ``(len(lams), 1)`` column that scores 1-D ``j`` for all.
+    n)`` tree, or a ``(len(lams), 1)`` column against a ``(1, n)`` row of
+    ``j``.  The kernels keep the shape of ``j``, the anchors a leading axis.
     """
-    terms = backends.line_terms(u, v, j.ravel(), blind)
-    parts = [x.reshape(j.shape) for x in backends.terms_parts(terms, code)]
+    parts = backends.terms_parts(backends.line_terms(u, v, j, blind), code)
     s = backends.ratio(backends.combine(parts, lam))
     return np.square(target - s), s
 
@@ -250,21 +248,20 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
     indices and scores, and the ``(len(lams), len(extra))`` scores of the
     list of points ``extra``, which the first kernel call scores with the
     block endpoints for every lambda.  The grid splits into blocks of
-    ``_SPAN`` points between endpoints, and the endpoints are scored first.
-    Their terms also bound every block's interior terms: each line term is
-    the absolute value of a rounded linear function of ``j`` on a sorted
-    grid, so along a block its computed value lies between the values at
-    the block's endpoints.  The
-    ``min`` and ``max`` of the two endpoints' terms go through
-    ``terms_parts`` and ``combine`` like any row, and the score of every
-    interior point then lies in ``[s_lo, s_hi]`` with ``s_lo = dw_lo / (dw_lo
-    + db_hi)`` and ``s_hi = dw_hi / (dw_hi + db_lo)``, each widened by
-    ``_SLACK``.  Only the blocks whose lower bound on the objective, the
-    squared distance from the target to that interval, is at most the best
-    endpoint objective of some lambda are scored; the argmin over endpoints
-    and kept points, first in grid order on a tie, is the full scan's bit
-    for bit, since every pruned point's objective exceeds that best one and
-    so neither wins nor ties.
+    ``_SPAN`` points between endpoints, and the endpoints are scored
+    first.  Their terms also bound every block's interior terms: each line
+    term is the absolute value of a rounded linear function of ``j`` on a
+    sorted grid, so along a block its computed value lies between the values
+    at the block's endpoints.  The ``min`` and ``max`` of the two endpoints'
+    terms go through ``terms_parts`` and ``combine`` like any row, and the
+    score of every interior point then lies in ``[s_lo, s_hi]`` with ``s_lo
+    = dw_lo / (dw_lo + db_hi)`` and ``s_hi = dw_hi / (dw_hi + db_lo)``, each
+    widened by ``_SLACK``.  Only the blocks whose lower bound on the
+    objective, the squared distance from the target to that interval, is at
+    most the best endpoint objective of some lambda are scored; the argmin
+    over endpoints and kept points, first in grid order on a tie, is the
+    full scan's bit for bit, since every pruned point's objective exceeds
+    that best one and so neither wins nor ties.
 
     Why the bounds hold for the computed scores, bit for bit:
 
@@ -296,10 +293,11 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
       too, so no pruned point's objective can fall to the best one.
 
     A zero-width interval (``flat``) has one j, and scores one point and
-    ``extra``.  Kept points are scored at most ``_BLOCK`` per kernel call.
-    Each call scores its points for all lambdas, one row each, with one
-    ``combine``; each row's argmin follows the same rule: first in grid
-    order on a tie.
+    ``extra``.  The kept interiors are the kept blocks' first endpoints plus
+    ``_INTERIOR``, scored at most ``_BLOCK`` points per kernel call.
+    Each call scores its points as a ``(1, n)`` row against the column of
+    all lambdas, with one ``combine``; each lambda's argmin follows the same
+    rule: first in grid order on a tie.
     """
     grid_points = line[2]
     # every _SPAN-th grid point, then the last one
@@ -310,10 +308,10 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
     e = len(ends)
     f = e + len(extra)
     # the terms of the endpoints and of extra, then each block's lower and
-    # upper term bounds
-    t = backends.line_terms(u, v, np.concatenate([_grid_at(ends, *line), extra]), blind)
-    left, right = t[:, :e - 1], t[:, 1:e]
-    t = np.concatenate([t, np.minimum(left, right), np.maximum(left, right)], 1)
+    # upper term bounds, as one (1, n) row of points against the lambda column
+    t = backends.line_terms(u, v, np.concatenate([_grid_at(ends, *line), extra])[None], blind)
+    left, right = t[..., :e - 1], t[..., 1:e]
+    t = np.concatenate([t, np.minimum(left, right), np.maximum(left, right)], -1)
     lam = lams[:, None]
     rows = np.arange(len(lams))
     d_worst, d_best = backends.combine(backends.terms_parts(t, code), lam)
@@ -324,21 +322,24 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
     s_lo = backends.ratio((d_worst[:, f:f + e - 1], d_best[:, f + e - 1:])) - _SLACK
     s_hi = backends.ratio((d_worst[:, f + e - 1:], d_best[:, f:f + e - 1])) + _SLACK
     gap = np.maximum(np.maximum(s_lo - target, target - s_hi), 0.0)
-    keep = ~(np.square(gap) > best[:, None]).all(0)
+    keep = (np.square(gap) <= best[:, None]).any(0)
 
-    # the interiors of the kept blocks, short of the last grid point
-    index = (ends[np.flatnonzero(keep), None] + np.arange(1, _SPAN)).ravel()
-    index = index[index < grid_points - 1]
+    # the interiors of the kept blocks; the last block, which ends on the
+    # last grid point, is shorter than _SPAN by the tail cut here
+    index = (ends[:-1][keep, None] + _INTERIOR).ravel()
+    if e > 1 and keep[-1]:
+        index = index[:len(index) - _SPAN + grid_points - 1 - int(ends[-2])]
     s_extra = s[:, e:]
     for b in range(0, len(index), _BLOCK):
         chunk = index[b:b + _BLOCK]
-        obj, s = _objective(u, v, _grid_at(chunk, *line), target, code, lam, blind)
+        obj, s = _objective(u, v, _grid_at(chunk, *line)[None], target, code, lam, blind)
         m = obj.argmin(1)
         o, at = obj[rows, m], chunk[m]
         win = (o < best) | ((o == best) & (at < k))
-        np.copyto(k, at, where=win)
-        np.copyto(best, o, where=win)
-        np.copyto(s_opt, s[rows, m], where=win)
+        if win.any():
+            np.copyto(k, at, where=win)
+            np.copyto(best, o, where=win)
+            np.copyto(s_opt, s[rows, m], where=win)
     return k, s_opt, s_extra
 
 
@@ -362,21 +363,22 @@ def _spine_paths(line) -> tuple[list, dict]:
     j_lo, j_hi, grid_points = line
     if j_hi - j_lo <= 0.0:
         return [], {}
-    ends = _grid_at(np.array([0, 1, grid_points - 2, grid_points - 1]), *line).tolist()
-    points, sides = [], {}
-    for bound, l, h in ((-1, *ends[:2]), (1, *ends[2:])):
-        m1s, m2s = [], []
-        while h - l > REFINE_TOL:
-            third = (h - l) / 3.0
-            m1s.append(l + third)
-            m2s.append(h - third)
-            if bound < 0:
-                h = m2s[-1]
-            else:
-                l = m1s[-1]
-        sides[bound] = (len(points), len(m1s))
-        points += m1s + m2s + [l, 0.5 * (l + h), h]
-    return points, sides
+    l, h, l1, h1 = _grid_at(np.array([0, 1, grid_points - 2, grid_points - 1]), *line).tolist()
+    m1s, m2s = [], []
+    while h - l > REFINE_TOL:  # toward j_lo: each step keeps (l, m2)
+        third = (h - l) / 3.0
+        m1s.append(l + third)
+        h -= third
+        m2s.append(h)
+    lower = m1s + m2s + [l, 0.5 * (l + h), h]
+    l, h, m1s, m2s = l1, h1, [], []
+    while h - l > REFINE_TOL:  # toward j_hi: each step keeps (m1, h)
+        third = (h - l) / 3.0
+        l += third
+        m1s.append(l)
+        m2s.append(h - third)
+    sides = {-1: (0, (len(lower) - 3) // 2), 1: (len(lower), len(m1s))}
+    return lower + m1s + m2s + [l, 0.5 * (l + h), h], sides
 
 
 def _spine(paths, obj, lo, hi, cells, bound) -> dict:

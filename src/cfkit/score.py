@@ -43,10 +43,15 @@ class ScoreResult:
 def scores(rows, code: int, lam, fs) -> tuple:
     """``(s, d_to_worst, d_to_best)`` arrays of the CFNs ``fs``, whose component rows are ``rows``.
 
-    ``lam`` is a balance value or an array that broadcasts.  A normalizer
-    below ``DEGENERATE_TOL`` raises ``DegenerateDenominatorError``.
+    ``lam`` is a balance value, one per row, or an ``(L, 1)`` column, which
+    puts an axis on the ``(2, n)`` anchor parts and scores every row under
+    each.  A normalizer below ``DEGENERATE_TOL`` raises
+    ``DegenerateDenominatorError``.
     """
-    d_worst, d_best = backends.combine(backends.anchor_parts(rows, code), lam)
+    parts = backends.anchor_parts(rows, code)
+    if getattr(lam, "ndim", 0) == 2:
+        parts = [x[:, None] for x in parts]
+    d_worst, d_best = backends.combine(parts, lam)
     denom = d_worst + d_best
     degenerate = denom < DEGENERATE_TOL
     if degenerate.any():

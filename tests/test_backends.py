@@ -116,6 +116,57 @@ class TestAnchorParts:
             got = backends.line_terms(u, v, j, blind)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("blind", [False, True])
+    def test_line_terms_keep_the_shape_of_j(self, blind):
+        rng = np.random.default_rng(20)
+        for u, v in [(0.3, 0.4), (1.0, 0.0)] + [tuple(rng.random(2).tolist()) for _ in range(5)]:
+            j = rng.uniform(*joint_bounds(u, v), size=(7, 13))
+            got = backends.line_terms(u, v, j, blind)
+            want = np.stack([backends.line_terms(u, v, row, blind) for row in j], axis=1)
+            assert got.shape == (6, 7, 13)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p_code", [0, 1, 2, 3, 64])
+    def test_terms_parts_finishes_both_anchors_in_one_call(self, p_code, monkeypatch):
+        shapes = []
+        finish = backends._finish
+
+        def count(s, terms, p):
+            shapes.append(s.shape)
+            return finish(s, terms, p)
+
+        monkeypatch.setattr(backends, "_finish", count)
+        # (1 - 3e-6, 2e-6) sits by the best anchor, where p=64 takes the rescue
+        for u, v in [(0.3, 0.4), (1.0 - 3e-6, 2e-6)]:
+            shapes.clear()
+            j = np.linspace(*joint_bounds(u, v), 101)[None]
+            norm, cheb = backends.terms_parts(backends.line_terms(u, v, j, False), p_code)
+            assert shapes == [(2, 1, 101)]
+            assert norm.shape == cheb.shape == (2, 1, 101)
+            assert np.all(norm > 0.0)
+
+    # 300 rows under 21 lambdas mix in one array, 1,000 rows one anchor at a
+    # time; one lambda per row mixes both anchors at once at either size.
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_combine_is_mix_of_each_anchor(self, n):
+        rng = np.random.default_rng(21)
+        norm, cheb = backends.anchor_parts(random_component_rows(rng, n), 3)
+        for lam in (0.35, rng.uniform(0.0, 1.0, n)):
+            got = backends.combine((norm, cheb), lam)
+            assert isinstance(got, np.ndarray) and got.shape == (2, n)
+            for a in (0, 1):
+                assert got[a].tobytes() == backends.mix(lam, norm[a], cheb[a]).tobytes()
+        # A column of lambdas against (2, 1, n) parts; with 2 lambdas a
+        # (2, 1) column against (2, n) parts would broadcast without error.
+        for count in (2, 21):
+            column = rng.uniform(0.0, 1.0, (count, 1))
+            got = backends.combine((norm[:, None], cheb[:, None]), column)
+            assert isinstance(got, np.ndarray) == (2 * count * n <= backends._MIX_MAX)
+            for a in (0, 1):
+                want = backends.mix(column, norm[a], cheb[a])
+                assert want.shape == got[a].shape == (count, n)
+                assert got[a].tobytes() == want.tobytes()
+
 
 def _naive_pow(x, p):
     out = x

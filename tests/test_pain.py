@@ -126,8 +126,12 @@ ORDERS = st.one_of(st.integers(1, 64), st.just(CHEBYSHEV))
 
 @st.composite
 def lambda_lists(draw):
-    """Shuffled lambda grids of 1, 11 or 21 values, so finished cells sit among live ones."""
-    n = draw(st.sampled_from([1, 11, 21]))
+    """Shuffled lambda grids of 1, 2, 11 or 21 values, so finished cells sit among live ones.
+
+    Two lambdas are the count at which a ``(2, 1)`` lambda column would
+    broadcast against the two anchors' parts without an error.
+    """
+    n = draw(st.sampled_from([1, 2, 11, 21]))
     return np.array(draw(st.permutations(np.linspace(0.0, 1.0, n).tolist())))
 
 
@@ -167,6 +171,9 @@ class TestSolveMatchesReference:
              lams=np.array([0.5]), blind=False)
     @example(uv=(0.4, 0.7), target=reference_score(0.4, 0.7, 0.4, 2, 0.3), p=2,
              lams=np.array([0.3, 0.0, 1.0]), blind=False)
+    # two lambdas, one per anchor's row of the parts
+    @example(uv=(0.07, 0.86), target=12 / 70, p=3, lams=np.array([0.9, 0.1]), blind=False)
+    @example(uv=(0.4, 0.7), target=0.5, p=2, lams=np.array([0.0, 1.0]), blind=True)
     # bound rows through the underflow rescue
     @example(uv=NEAR_BEST, target=0.99999, p=64, lams=np.linspace(0.0, 1.0, 11), blind=False)
     @example(uv=NEAR_BEST[::-1], target=1e-5, p=64, lams=np.array([1.0]), blind=True)
@@ -447,6 +454,20 @@ class TestPainAssessment:
     def test_valid(self):
         a = PainAssessment(CASE_ITEMS, 0.4, 0.7)
         assert a.patient_pain == 29 / 70
+
+    @given(items=st.lists(st.integers(0, 10), min_size=7, max_size=7), numpy_ints=st.booleans())
+    def test_patient_pain_is_the_normalized_score(self, items, numpy_ints):
+        if numpy_ints:
+            items = [np.int64(x) for x in items]
+        got = PainAssessment(items, 0.4, 0.7).patient_pain
+        assert got.hex() == normalize_patient_score(items).hex()
+
+    @given(items=st.lists(st.integers(0, 10), min_size=7, max_size=7), at=st.integers(0, 6),
+           bad=st.sampled_from([-1, 11, 3.5, True, None, np.int64(12)]))
+    def test_bad_item_raises_at_construction(self, items, at, bad):
+        items[at] = bad
+        with pytest.raises(ItemOutOfRangeError):
+            PainAssessment(items, 0.4, 0.7)
 
     def test_similarity_range(self):
         with pytest.raises(OutOfRangeError):

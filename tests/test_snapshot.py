@@ -9,9 +9,12 @@ so in CHANGES.md.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cfkit import joint_bounds, pain
 from cfkit.cli import main
+from cfkit.figures import fig7_rows, fig8_rows
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEMO_PAIR = ("0.8,0.4,0.32", "0.1,0.9,0.09")
@@ -136,3 +139,50 @@ def test_stdout(case, capsysbinary):
     argv, expected = STDOUT_SHA256[case]
     assert main(list(argv)) == 0
     assert _sha256(capsysbinary.readouterr().out) == expected
+
+
+# sha256 over repr of SOLVER_CASES seeded pain._solve results, then
+# fig7_rows() and fig8_rows().
+SOLVER_SHA256 = "4df21c55107af6502392c66f153911a3c51b56874f38774a79aeaefee65f8831"
+SOLVER_CASES = 300
+
+
+def _solver_case(rng, i):
+    """The ``i``-th seeded ``_solve`` argument tuple.
+
+    The cases run through p codes 0..64 (Chebyshev and 1..64), 1, 2, 11 and
+    21 lambdas, grids of 101, 2049 and 10001 points and blind both ways, on
+    free, zero-width, near-equal and near-anchor similarities.
+    """
+    kind = i % 5
+    if kind == 0:  # zero width: one similarity at 0 or 1
+        u, v = rng.random(2)
+        u, v = [(0.0, v), (u, 1.0), (1.0, v), (u, 0.0)][i // 5 % 4]
+    elif kind == 1:  # near-equal
+        u = rng.random()
+        v = min(1.0, u + float(rng.choice([0.0, 1e-12, 1e-6])))
+    elif kind == 2:  # near an anchor
+        eps = 10.0 ** -rng.integers(1, 9)
+        u, v = (1.0 - eps * rng.random(), eps * rng.random())
+        if i // 5 % 2:
+            u, v = v, u
+    else:
+        u, v = rng.random(2)
+    j_lo, j_hi = joint_bounds(u, v)
+    target = 1.0 - rng.integers(0, 71) / 70.0
+    lams = rng.permutation(np.linspace(0.0, 1.0, [1, 2, 11, 21][i % 4]))
+    if len(lams) == 1:
+        lams = rng.random(1)
+    grid_points = [101, 2049, 10001][i % 3]
+    return u, v, j_lo, j_hi, target, i % 65, lams, grid_points, bool(i // 65 % 2)
+
+
+def test_solver_digest():
+    rng = np.random.default_rng(20261019)
+    h = hashlib.sha256()
+    for i in range(SOLVER_CASES):
+        j, s = pain._solve(*_solver_case(rng, i))
+        h.update(repr((j.tolist(), s.tolist())).encode())
+    h.update(repr(fig7_rows()).encode())
+    h.update(repr(fig8_rows()).encode())
+    assert h.hexdigest() == SOLVER_SHA256
