@@ -17,15 +17,15 @@ parts of both anchors as one leading axis, one ``combine`` mixes them for a
 column of all lambdas, ``ratio`` gives the scores, and ``np.square`` of their
 gap to the target the objectives.  The grid scan returns the full
 scan's argmin bit for bit but scores only what could hold it: every
-``_SPAN``-th grid point and the last one first, then the interior of a block
-between two of them only where interval bounds on the block's scores, from
-its endpoints' terms, could reach the best endpoint objective of some lambda
-(see ``_scan``); it scores the kept points at most ``_BLOCK`` per kernel
-call.  Most answers sit on a bound of the grid, where the ternary steps of
-the refinement are known before anything is scored, so most solves make two
-kernel calls: the endpoints with those steps, then the kept interior points.
-Other brackets score a depth-``_DEPTH`` tree of steps per call (see
-``_solve``).
+``_SPAN``-th grid point and the last one, with the whole first and last
+block between them, first; then the interior of another block only where
+the scores at its two endpoints, between which the score is monotone, could
+reach the best objective of some lambda (see ``_scan``).  It scores those
+kept points at most ``_BLOCK`` per kernel call.  Most answers sit on a
+bound of the grid, where the ternary steps of the refinement are known
+before anything is scored, so most solves make one kernel call: the
+endpoints, the two end blocks and those steps.  Other brackets score a
+depth-``_DEPTH`` tree of steps per call (see ``_solve``).
 ``solve_programming1`` is the one-lambda case, ``sensitivity_sweep`` solves
 once per order over the whole lambda grid, and ``legacy_comparison_sweep``
 scores rows with their hesitancy dropped at lambda = 1, which is the
@@ -55,8 +55,10 @@ DEFAULT_CONFUSION_THRESHOLD = 0.9
 DEFAULT_GRID_POINTS = 10001
 REFINE_TOL = 1e-8
 # Grid points per pruning block of the grid scan (see ``_scan``); a
-# 10001-point grid has 158 endpoints.  On a clinic stream, spans of 32, 64 and
-# 128 score 6.8%, 7.9% and 11.7% of the grid and cost the same per solve.
+# 10001-point grid has 158 endpoints.  On two clinic streams, spans of 32, 64
+# and 128 score 4.0-4.5%, 2.8-3.3% and 2.7-3.2% of the grid in the scan, and
+# cost the same per solve within the host's noise.  The scan needs two blocks
+# or more, so the span stays under 100: every grid has at least 101 points.
 _SPAN = 64
 # Kept grid points per kernel call of the grid scan.  A (6, 2048) term array
 # is 96 KiB and an (anchor, lambda) row of 2048 distances or scores 16 KiB,
@@ -75,8 +77,9 @@ _NEIGHBOURS = np.array([[0], [-1], [1]])  # a grid optimum, then its neighbours
 # depth-5 tree below a live bracket, and a solve takes up to about 21 steps.
 # Deeper trees score more points than they save calls in a 21-lambda sweep.
 _DEPTH = 5
-# Absolute widening of the score bounds of a pruning block.  The computed
-# score is within a few ulps of the exact one (see ``_scan``), under 1e-15.
+# Absolute widening of the hull of a pruning block's two endpoint scores,
+# which bounds its interior scores.  The exact score is monotone along the
+# grid, and a computed one is within 2e-14 of it (see ``_scan``).
 _SLACK = 1e-12
 
 
@@ -190,10 +193,10 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False, paths
     ``_spine_paths``).  The scan's first kernel call scores those points with
     the block endpoints, for every lambda.  A bound optimum whose walk along
     its path reaches REFINE_TOL (see ``_spine``) reads its final check from
-    those scores, so a solve whose scan keeps at most one call's interior
-    points makes two kernel calls in all.  The other brackets go to the
-    depth-``_DEPTH`` tree of ``_refine``, and their final check is one more
-    call.  The kernels are elementwise and every objective is ``np.square``
+    those scores, so a solve whose scan prunes every block that its first
+    call did not score makes one kernel call in all.  The other brackets go
+    to the depth-``_DEPTH`` tree of ``_refine``, and their final check is one
+    more call.  The kernels are elementwise and every objective is ``np.square``
     of the gap, so a point has the same bits in whichever call, under however
     many lambdas.  ``blind`` zeroes the hesitancy: with lambda = 1 that is
     the hesitancy-blind Minkowski score, bit for bit.  ``paths`` is
@@ -246,90 +249,119 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
 
     ``line`` is the grid's ``(j_lo, j_hi, grid_points)``; returns grid
     indices and scores, and the ``(len(lams), len(extra))`` scores of the
-    list of points ``extra``, which the first kernel call scores with the
-    block endpoints for every lambda.  The grid splits into blocks of
-    ``_SPAN`` points between endpoints, and the endpoints are scored
-    first.  Their terms also bound every block's interior terms: each line
-    term is the absolute value of a rounded linear function of ``j`` on a
-    sorted grid, so along a block its computed value lies between the values
-    at the block's endpoints.  The ``min`` and ``max`` of the two endpoints'
-    terms go through ``terms_parts`` and ``combine`` like any row, and the
-    score of every interior point then lies in ``[s_lo, s_hi]`` with ``s_lo
-    = dw_lo / (dw_lo + db_hi)`` and ``s_hi = dw_hi / (dw_hi + db_lo)``, each
-    widened by ``_SLACK``.  Only the blocks whose lower bound on the
-    objective, the squared distance from the target to that interval, is at
-    most the best endpoint objective of some lambda are scored; the argmin
-    over endpoints and kept points, first in grid order on a tie, is the
-    full scan's bit for bit, since every pruned point's objective exceeds
-    that best one and so neither wins nor ties.
+    list of points ``extra``.  The grid splits into blocks of ``_SPAN``
+    points between endpoints.  The first kernel call scores, for every
+    lambda, the endpoints, the whole first and last block, where most optima
+    lie, and ``extra``.  The score is monotone in ``j`` along the line (the
+    lemma below), so every interior score of another block lies in the hull
+    of its two endpoint scores, widened by ``_SLACK`` for rounding.  Only the
+    blocks whose lower bound on the objective, the squared distance from the
+    target to that interval, is at most the best objective of some lambda in
+    the first call are scored.  The argmin over all scored points, first in
+    grid order on a tie, is the full scan's bit for bit, since every pruned
+    point's objective exceeds that best one and so neither wins nor ties.
 
-    Why the bounds hold for the computed scores, bit for bit:
+    The lemma: along the admissible line the exact score ``s(j) = d_w / (d_w
+    + d_b)`` is non-decreasing in ``j`` where ``u < v``, non-increasing where
+    ``u > v`` and constant where ``u == v``, for every order, every lambda
+    in [0, 1] and ``blind`` both ways.  Proof:
 
-    - The grid is sorted (``_grid_at`` is a rounded ``i * step + j_lo``
-      ending on ``j_hi``), and each term is the absolute value of ``j`` or
-      of one or two rounded additions of it: ``u - j``, ``u - j - 1``,
-      ``v - j``, ``v - j - 1`` and ``1 - u - v + j``, with ``j <= min(u,
-      v)``.
-      Only the last, the hesitancy, can change sign inside a block, through
-      a rounding error at ``j_lo``; the minimum of its endpoint values is
-      then too high by under an ulp, and every norm is 1-Lipschitz in each
-      term.
-    - Rounding to nearest is monotone, so each rounded multiply, add and max
-      of non-negative numbers is monotone in its inputs.  The computed
-      powers, power sums and Chebyshev terms of an interior point therefore
-      lie between those of the two bound rows, and so do their combinations
-      with the weights ``lam`` and ``1 - lam``.
-    - Only the p-th root (``pow``, or ``_finish``'s max-scaled rescue where a
-      power sum underflows) and the ratio's division are not monotone bit
-      for bit.  Each is within a few ulps of its exact, monotone value; the
-      rounded exponent ``1 / p`` moves a norm ``N`` by at most ``N |ln N|``
-      units of roundoff, under 0.4 of one.  The distances are at most 4, so
-      all of this is far below 1e-15.
-    - An absolute error in ``dw`` or ``db`` moves ``s = dw / (dw + db)`` by
-      at most as much: both partial derivatives are at most ``1 / (dw +
-      db)``, and ``dw + db >= d(worst, best) >= 1`` by the triangle
-      inequality.  ``_SLACK`` covers the error by three orders of magnitude.
-    - Past the scores, ``np.square`` of a rounded difference is monotone
-      too, so no pruned point's objective can fall to the best one.
+    - With ``a = u - j >= 0`` and ``b = v - j >= 0``, the worst anchor's
+      terms are ``A = (a, a + j + h, j, h)`` and the best's, reordered, ``B
+      = (b, b + j + h, j, h)``: ``|v* - 1| = a + j + h`` and ``|u* - 1| = b +
+      j + h``.  Every term is at least 0 and the Chebyshev term is the second
+      one, so ``d_w = F(A)`` and ``d_b = F(B)`` with ``F(x) = lam * ||x||_p +
+      (1 - lam) * x2``.  ``blind`` sets the fourth term to 0 and leaves the
+      second as it is.
+    - A step ``delta`` in ``j`` moves both vectors by ``delta * e``, with
+      ``e = (-1, 1, 1, 1)`` (``blind``: ``(-1, 1, 1, 0)``), and ``A - B = (u
+      - v) * (1, 1, 0, 0)``.  So ``d/dj ln(d_w / d_b) = H(A) - H(B)`` with
+      ``H = (e . grad F) / F``, and ``s = 1 / (1 + d_b / d_w)`` moves with
+      ``d_w / d_b``.  The segment from B to A runs along ``(1, 1, 0, 0)``,
+      keeps every term at least 0 and keeps ``x2 - x1 = j + h``, at least
+      ``x3`` and ``x4``.  If H is non-increasing along ``(1, 1, 0, 0)`` on
+      that set, ``H(A) <= H(B)`` where ``u >= v`` and the reverse where ``u
+      <= v``, which is the lemma.
+    - ``e . grad F = lam * g + 1 - lam`` with ``g = e . grad ||x||_p >= 0``,
+      and F does not fall along ``(1, 1, 0, 0)``.  So H is non-increasing
+      there wherever g is: the mixed lambda reduces to lambda = 1.
+    - Chebyshev: ``||x||_inf = x2`` and g is 1.  p = 1: g is 2 (``blind``:
+      1).  Without ``blind`` at p = 1, and at Chebyshev both ways, ``s = (1 -
+      v + j) / (2 - u - v + 2 j)`` for every lambda.
+    - p >= 2: with ``y = x1 <= z = x2``, ``P = sum x_i**p``, ``G = z**(p-1)
+      - y**(p-1) + c`` and ``c = x3**(p-1) + x4**(p-1)`` (``blind``: no
+      ``x4``), ``g = G / P**((p-1)/p)``.  It is non-increasing along ``(1,
+      1, 0, 0)`` if and only if ``(z**(p-2) - y**(p-2)) * P <= (y**(p-1) +
+      z**(p-1)) * G``, that is, with ``C = x3**p + x4**p``, ``(z**(p-2) -
+      y**(p-2)) * C <= (y**(p-1) + z**(p-1)) * c + (y z)**(p-2) * (z**2 -
+      y**2)``.  Since ``x3, x4 <= z - y``, ``C <= (z - y) * c``, and ``(z**(p-2)
+      - y**(p-2)) * (z - y) <= y**(p-1) + z**(p-1)``.
+
+    ``tests/test_pain.py::TestScoreAlongLine`` checks the lemma and the
+    closed form on the computed scores, which are the exact ones up to
+    rounding:
+
+    - Each computed term is within two roundings of its exact value at the
+      grid's ``j``: it is ``j`` or the absolute value of one or two rounded
+      additions of it, ``u - j``, ``u - j - 1``, ``v - j``, ``v - j - 1`` and
+      ``1 - u - v + j``.  Where rounding puts ``j_lo = u + v - 1`` an ulp
+      low, the hesitancy there is off by as much.  Every norm and Chebyshev
+      term is 1-Lipschitz in each term.
+    - The powers, power sums and maxima, the p-th root (``pow``, or
+      ``_finish``'s max-scaled rescue where a power sum underflows), ``mix``
+      and the ratio's division each add a few ulps; the rounded exponent ``1
+      / p`` moves a norm ``N`` by at most ``N |ln N|`` units of roundoff,
+      under 0.4 of one.  The terms are at most 1 and the distances at most
+      4, so each computed distance is within 1e-14 of the exact one.
+    - An absolute error in ``d_w`` or ``d_b`` moves ``s`` by at most as
+      much: both partial derivatives are at most ``1 / (d_w + d_b)``, and
+      ``d_w + d_b >= d(worst, best) >= 1`` by the triangle inequality.  So
+      each computed score is within 2e-14 of the exact one, an interior
+      score within 4e-14 of the hull of its block's computed endpoint
+      scores, and ``_SLACK`` covers that 25 times over.
+    - Past the scores, rounding is monotone: ``s >= s_lo`` gives
+      ``fl(s - target) >= fl(s_lo - target)``, and ``np.square`` of a
+      rounded difference is monotone in its size, so no pruned point's
+      objective can fall to the best one.
 
     A zero-width interval (``flat``) has one j, and scores one point and
-    ``extra``.  The kept interiors are the kept blocks' first endpoints plus
-    ``_INTERIOR``, scored at most ``_BLOCK`` points per kernel call.
-    Each call scores its points as a ``(1, n)`` row against the column of
-    all lambdas, with one ``combine``; each lambda's argmin follows the same
-    rule: first in grid order on a tie.
+    ``extra``.  The first call lays its grid points out in grid order.  The
+    kept interiors are the kept blocks' first endpoints plus ``_INTERIOR``,
+    scored at most ``_BLOCK`` points per kernel call.  Each call scores its
+    points as a ``(1, n)`` row against the column of all lambdas, with one
+    ``combine``; each lambda's argmin follows the same rule: first in grid
+    order on a tie.
     """
     grid_points = line[2]
     # every _SPAN-th grid point, then the last one
     ends = np.arange(0, grid_points + _SPAN - 1, _SPAN)
     ends[-1] = grid_points - 1
     if flat:
-        ends = ends[:1]
-    e = len(ends)
-    f = e + len(extra)
-    # the terms of the endpoints and of extra, then each block's lower and
-    # upper term bounds, as one (1, n) row of points against the lambda column
-    t = backends.line_terms(u, v, np.concatenate([_grid_at(ends, *line), extra])[None], blind)
-    left, right = t[..., :e - 1], t[..., 1:e]
-    t = np.concatenate([t, np.minimum(left, right), np.maximum(left, right)], -1)
+        index = ends[:1]
+    else:  # the first block, the endpoints between, then the last block
+        index = np.concatenate(
+            [np.arange(ends[1]), ends[1:-1], np.arange(ends[-2] + 1, grid_points)]
+        )
+    n = len(index)
     lam = lams[:, None]
     rows = np.arange(len(lams))
-    d_worst, d_best = backends.combine(backends.terms_parts(t, code), lam)
-    s = backends.ratio((d_worst[:, :f], d_best[:, :f]))
-    obj = np.square(target - s[:, :e])
-    m = obj.argmin(1)
-    k, best, s_opt = ends[m], obj[rows, m], s[rows, m]
-    s_lo = backends.ratio((d_worst[:, f:f + e - 1], d_best[:, f + e - 1:])) - _SLACK
-    s_hi = backends.ratio((d_worst[:, f + e - 1:], d_best[:, f:f + e - 1])) + _SLACK
+    j = np.concatenate([_grid_at(index, *line), extra])[None]
+    obj, s = _objective(u, v, j, target, code, lam, blind)
+    m = obj[:, :n].argmin(1)
+    k, best, s_opt = index[m], obj[rows, m], s[rows, m]
+    s_extra = s[:, n:]
+    if flat:
+        return k, s_opt, s_extra
+
+    # the scores at ends[1:-1], in the first call from column ends[1] on,
+    # bound the interiors of the blocks between them
+    bounds = s[:, ends[1]:ends[1] + len(ends) - 2]
+    left, right = bounds[:, :-1], bounds[:, 1:]
+    s_lo = np.minimum(left, right) - _SLACK
+    s_hi = np.maximum(left, right) + _SLACK
     gap = np.maximum(np.maximum(s_lo - target, target - s_hi), 0.0)
     keep = (np.square(gap) <= best[:, None]).any(0)
-
-    # the interiors of the kept blocks; the last block, which ends on the
-    # last grid point, is shorter than _SPAN by the tail cut here
-    index = (ends[:-1][keep, None] + _INTERIOR).ravel()
-    if e > 1 and keep[-1]:
-        index = index[:len(index) - _SPAN + grid_points - 1 - int(ends[-2])]
-    s_extra = s[:, e:]
+    index = (ends[1:-2][keep, None] + _INTERIOR).ravel()
     for b in range(0, len(index), _BLOCK):
         chunk = index[b:b + _BLOCK]
         obj, s = _objective(u, v, _grid_at(chunk, *line)[None], target, code, lam, blind)

@@ -112,15 +112,21 @@ SIMILARITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 @st.composite
 def similarity_pairs(draw):
-    """``(u, v)``, with 0 and 1 (zero-width intervals) and nearly equal pairs.
+    """``(u, v)``, with 0 and 1 (zero-width intervals), nearly equal pairs and pairs near an anchor.
 
     At lambda = 0 and ``v = u + 1e-9`` the score is flat to within an ulp on
-    a refinement bracket, so ternary steps tie.
+    a refinement bracket, so ternary steps tie.  Within 1e-5 of an anchor,
+    high orders take the underflow rescue of backends._finish.
     """
     u = draw(SIMILARITY)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["free", "near-equal", "near-anchor"]))
+    if kind == "free":
         return u, draw(SIMILARITY)
-    return u, min(1.0, max(0.0, u + draw(st.sampled_from([-1e-8, -1e-10, 1e-10, 1e-9]))))
+    if kind == "near-equal":
+        step = draw(st.sampled_from([0.0, 1e-12, -1e-12, -1e-10, 1e-10, 1e-9, -1e-8, -1e-6]))
+        return u, min(1.0, max(0.0, u + step))
+    a, b = draw(st.floats(0.0, 1e-5)), draw(st.floats(0.0, 1e-5))
+    return (1.0 - a, b) if draw(st.booleans()) else (a, 1.0 - b)  # the best or the worst
 ORDERS = st.one_of(st.integers(1, 64), st.just(CHEBYSHEV))
 
 
@@ -141,10 +147,44 @@ def reference_score(u, v, j, code, lam):
     return float(backends.ratio(backends.combine(parts, lam))[0])
 
 
-# A p=64 pair within 1e-5 of the best anchor: the norms to it, of the grid's
-# rows and of the lower term bounds of every pruning block, take the
-# underflow rescue of backends._finish.
+# A p=64 pair within 1e-5 of the best anchor: the norms to it of the grid's
+# rows, the pruning blocks' endpoints among them, take the underflow rescue
+# of backends._finish.
 NEAR_BEST = (1.0 - 3e-6, 2e-6)
+
+
+class TestScoreAlongLine:
+    """The lemma behind ``pain._scan``'s block bound: along the admissible line
+    the score is monotone in j, in the direction of ``sign(v - u)``, for every
+    order, lambda and ``blind``.  The computed scores may stray from that by
+    rounding, far under ``pain._SLACK``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(uv=similarity_pairs(), code=st.integers(0, 64), lam=st.floats(0.0, 1.0),
+           blind=st.booleans())
+    @example(uv=(0.3, 0.3), code=3, lam=0.5, blind=False)
+    @example(uv=(0.4, 0.4 + 1e-12), code=2, lam=0.25, blind=False)
+    @example(uv=NEAR_BEST, code=64, lam=1.0, blind=False)
+    @example(uv=(0.9999914522524619, 0.9999914422524618), code=3, lam=0.0, blind=False)
+    def test_monotone_in_j(self, uv, code, lam, blind):
+        u, v = uv
+        j = np.linspace(*joint_bounds(u, v), 2001)
+        s = pain._objective(u, v, j, 0.5, code, lam, blind)[1]
+        if u == v:  # both anchors' distances have equal bits
+            assert (s == 0.5).all()
+        else:
+            assert (np.diff(s) * np.sign(v - u)).min() >= -1e-13
+
+    # p = 1 without blind and Chebyshev both ways: the distances to the worst
+    # and the best anchor are (1 + lam) or 1 times 1 - v + j and 1 - u + j.
+    @pytest.mark.parametrize("code, blind", [(1, False), (0, False), (0, True)])
+    @settings(max_examples=100, deadline=None)
+    @given(uv=similarity_pairs(), lam=st.floats(0.0, 1.0))
+    def test_closed_form(self, code, blind, uv, lam):
+        u, v = uv
+        j = np.linspace(*joint_bounds(u, v), 2001)
+        s = pain._objective(u, v, j, 0.5, code, lam, blind)[1]
+        assert np.abs(s - (1.0 - v + j) / (2.0 - u - v + 2.0 * j)).max() <= 1e-15
 
 
 class TestSolveMatchesReference:
@@ -174,14 +214,31 @@ class TestSolveMatchesReference:
     # two lambdas, one per anchor's row of the parts
     @example(uv=(0.07, 0.86), target=12 / 70, p=3, lams=np.array([0.9, 0.1]), blind=False)
     @example(uv=(0.4, 0.7), target=0.5, p=2, lams=np.array([0.0, 1.0]), blind=True)
-    # bound rows through the underflow rescue
+    # block endpoint scores through the underflow rescue
     @example(uv=NEAR_BEST, target=0.99999, p=64, lams=np.linspace(0.0, 1.0, 11), blind=False)
     @example(uv=NEAR_BEST[::-1], target=1e-5, p=64, lams=np.array([1.0]), blind=True)
-    # nearly equal u and v near the best anchor: the score is flat to about
-    # 1e-5 along j, and a block bound any tighter than the s_lo and s_hi of
-    # pain._scan prunes blocks that hold an optimum
+    # nearly equal u and v near 1: the computed score is 0.5 + 2e-9, flat to
+    # about 2e-14 along j and off monotone by an ulp, so a block's interior
+    # can score under both its endpoints and only pain._SLACK keeps it
     @example(uv=(0.9999914522524619, 0.9999914422524618), target=0.25, p=3,
              lams=np.linspace(0.0, 1.0, 21), blind=False)
+    # u == v at lambda > 0: both anchors' distances have equal bits, every
+    # score is 0.5 and no block may be pruned
+    @example(uv=(0.3, 0.3), target=0.2, p=3, lams=np.array([0.5]), blind=False)
+    @example(uv=(0.5, 0.5), target=0.7, p=64, lams=np.linspace(0.0, 1.0, 21)[::-1],
+             blind=True)
+    # |u - v| = 1e-12: the score is flat to well under pain._SLACK
+    @example(uv=(0.4, 0.4 + 1e-12), target=0.5, p=2, lams=np.linspace(0.0, 1.0, 11),
+             blind=False)
+    # an optimum inside the first block, and one inside the last block at
+    # grids 129 and 131 (grid 130's last block has no interior); then 21
+    # lambdas whose optima spread over the last block and the one before it
+    @example(uv=(0.07, 0.86), target=reference_score(0.07, 0.86, 0.2 * 0.07, 3, 0.5), p=3,
+             lams=np.array([0.5]), blind=False)
+    @example(uv=(0.07, 0.86), target=reference_score(0.07, 0.86, 0.99 * 0.07, 3, 0.5), p=3,
+             lams=np.array([0.5]), blind=False)
+    @example(uv=(0.4, 0.61), target=reference_score(0.4, 0.61, 0.01 + 0.99 * 0.39, 5, 0.2),
+             p=5, lams=np.linspace(0.0, 1.0, 21), blind=False)
     # the grid optimum is j_lo, but the true one lies 3e-6 inside, so the
     # spine's walk stops after a few steps and the tree takes over
     @example(uv=(0.07, 0.86), target=reference_score(0.07, 0.86, 3e-6, 3, 0.5), p=3,
@@ -226,7 +283,7 @@ class TestSolveMatchesReference:
         counting(pain, "_spine", lambda args: "spine")
         return calls
 
-    def test_bound_optimum_solves_in_two_kernel_calls(self, monkeypatch):
+    def test_bound_optimum_solves_in_one_kernel_call(self, monkeypatch):
         calls = self.kernel_calls(monkeypatch)
         grid_points = 10001
         line = (0.0, 0.07, grid_points)
@@ -238,14 +295,16 @@ class TestSolveMatchesReference:
         assert j_opt.tolist() == [0.07]  # j_hi, the last grid point
         start = calls.index("refine")
         scan, refine = calls[:start], calls[start + 1:]
-        # The first call scores the block endpoints and both spine paths with
-        # their final checks, the second the interiors of the kept blocks.
-        # The walk toward j_hi takes every step of its path and reads its
-        # final check from the first call, so the refinement scores nothing.
+        # The one call scores the block endpoints, the interiors of the first
+        # and the last block, and both spine paths with their final checks.
+        # The hull of the endpoint scores prunes every other block, and the
+        # walk toward j_hi takes every step of its path and reads its final
+        # check from that call, so nothing else is scored.
         points, sides = pain._spine_paths(line)
         assert sides[1][1] == steps > 2 * pain._DEPTH
-        assert scan[0] == -(-(grid_points - 1) // pain._SPAN) + 1 + len(points)
-        assert len(scan) == 2 and 0 < scan[1] < grid_points // 10
+        blocks = -(-(grid_points - 1) // pain._SPAN)
+        last = grid_points - 2 - (blocks - 1) * pain._SPAN  # the last block's interior
+        assert scan == [blocks + 1 + pain._SPAN - 1 + last + len(points)]
         assert refine == ["spine"]
 
     def test_depth_steps_per_kernel_call(self, monkeypatch):
@@ -285,21 +344,23 @@ class TestSolveMatchesReference:
         return points
 
     def test_scan_prunes_clinic_grids(self, monkeypatch):
-        # Clinic-like assessments: a scan that fell back to scoring every grid
-        # point would score over 6 times the bound.
+        # Clinic-like assessments score 4.5% of their grids, spine paths and
+        # refinement included: a scan that fell back to scoring every grid
+        # point would score over 16 times the bound.
         solves = 200
         points = self.clinic_solves(monkeypatch, solves)
-        assert sum(points) <= 0.15 * solves * pain.DEFAULT_GRID_POINTS
+        assert sum(points) <= 0.06 * solves * pain.DEFAULT_GRID_POINTS
 
     def test_clinic_solves_make_few_kernel_calls(self, monkeypatch):
-        # Most clinic answers sit on a bound of the grid and take two calls:
-        # the scan's first call, which also scores both spine paths and their
-        # final checks, and one of kept interior points.  A solve that scored
-        # its spine and its final check in calls of their own would make
-        # about 4 (4.075 on this stream).
+        # Most clinic answers sit on a bound of the grid and take one call,
+        # which scores the block endpoints, the first and the last block and
+        # both spine paths with their final checks (1.28 calls per solve on
+        # this stream).  A scan that also scored the interiors of every block
+        # its endpoints could not prune would make about 2.3 (2.28 with the
+        # bound on the endpoints' terms instead of their scores).
         solves = 200
         points = self.clinic_solves(monkeypatch, solves)
-        assert len(points) / solves <= 2.5
+        assert len(points) / solves <= 1.4
 
 
 # Widths down to the smallest subnormal, whose step underflows to 0.
@@ -343,10 +404,11 @@ class TestGridScan:
         got = pain._grid_at(np.arange(grid_points), start, stop, grid_points)
         assert got.tobytes() == np.linspace(start, stop, grid_points).tobytes()
 
-    # A bound optimum whose scan keeps under pain._BLOCK points, and all ties
-    # (u == v at lambda = 0), where every block is kept and scored in 5 calls.
+    # Optima on j_hi for 1 and for 21 lambdas, where the scan's first call
+    # prunes every block it has not scored, and all ties (u == v at lambda =
+    # 0), where every block is kept and the rest are scored in 5 calls.
     @pytest.mark.parametrize("uv, target, lam, grid_points, kernel_calls", [
-        ((0.07, 0.86), 12 / 70, 0.5, 2049, 2),
+        ((0.1, 0.9), 12 / 70, 0.5, 2049, 1),
         ((0.3, 0.3), 0.2, 0.0, 10001, 6),
     ])
     def test_scan_combines_once_per_kernel_call(self, uv, target, lam, grid_points, kernel_calls,
