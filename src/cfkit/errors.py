@@ -22,7 +22,12 @@ class OutOfEpsilonRangeError(CfkitError, ValueError):
 
 
 class DegenerateDenominatorError(CfkitError, ArithmeticError):
-    """Score normalizer collapsed to zero; signals corrupted inputs."""
+    """Score normalizer collapsed to zero.
+
+    No code raises it: for admissible CFNs ``d(f, worst) + d(f, best) >= 1``
+    by the triangle inequality (see ``score.scores``).  It stays exported,
+    in ``cfkit.__all__`` too, for code that catches it.
+    """
 
 
 class BadItemCountError(CfkitError, ValueError):

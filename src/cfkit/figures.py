@@ -70,10 +70,9 @@ def score_rows(fs) -> list[tuple]:
     (lambda, f) pair by broadcasting; each value equals scalar ``score`` bit
     for bit.
     """
-    fs = tuple(fs)
     lams = check_lambdas(np.linspace(0.0, 1.0, 101))
     rows = component_rows(fs)
-    by_p = {p: scores(rows, order_code(p), lams[:, None], fs)[0].tolist() for p in range(1, 11)}
+    by_p = {p: scores(rows, order_code(p), lams[:, None])[0].tolist() for p in range(1, 11)}
     return [
         (lam, p) + tuple(by_p[p][i]) for i, lam in enumerate(lams.tolist()) for p in range(1, 11)
     ]

@@ -14,18 +14,20 @@ One solver, ``_solve``, serves every entry point and scores every point
 through one kernel chain: ``backends.line_terms`` builds the anchor terms
 straight from ``(u, v, j)`` in the shape of ``j``, ``terms_parts`` makes the
 parts of both anchors as one leading axis, one ``combine`` mixes them for a
-column of all lambdas, ``ratio`` gives the scores, and ``np.square`` of their
-gap to the target the objectives.  The grid scan returns the full
-scan's argmin bit for bit but scores only what could hold it: every
-``_SPAN``-th grid point and the last one, with the whole first and last
-block between them, first; then the interior of another block only where
-the scores at its two endpoints, between which the score is monotone, could
-reach the best objective of some lambda (see ``_scan``).  It scores those
-kept points at most ``_BLOCK`` per kernel call.  Most answers sit on a
-bound of the grid, where the ternary steps of the refinement are known
-before anything is scored, so most solves make one kernel call: the
-endpoints, the two end blocks and those steps.  Other brackets score a
-depth-``_DEPTH`` tree of steps per call (see ``_solve``).
+column of all lambdas or for one lambda per point, ``ratio`` gives the
+scores, and ``np.square`` of their gap to the target the objectives.  The
+grid scan returns the full scan's argmin bit for bit but scores only what
+could hold it: every ``_SPAN``-th grid point and the last one, with the
+whole first and last block between them, first; then the interior of another
+block only where the scores at its two endpoints, between which the score is
+monotone, could reach the best objective of some lambda (see ``_scan``).  It
+scores those kept points at most ``_BLOCK`` per kernel call.  The refinement
+has one rule: each bracket's ternary steps are laid out along a path
+predicted toward a point, scored in one call, and walked on the scores, and
+where a step goes against the prediction the rest is predicted again (see
+``_solve``).  Most answers sit on a bound of the grid, whose paths toward
+the bound are known before anything is scored, so most solves make one
+kernel call: the endpoints, the two end blocks and those paths.
 ``solve_programming1`` is the one-lambda case, ``sensitivity_sweep`` solves
 once per order over the whole lambda grid, and ``legacy_comparison_sweep``
 scores rows with their hesitancy dropped at lambda = 1, which is the
@@ -73,10 +75,6 @@ _SPAN = 64
 _BLOCK = 2048
 _INTERIOR = np.arange(1, _SPAN)  # a block's interior, from its first endpoint
 _NEIGHBOURS = np.array([[0], [-1], [1]])  # a grid optimum, then its neighbours
-# Ternary steps per refinement call: each scores the 62 points of the whole
-# depth-5 tree below a live bracket, and a solve takes up to about 21 steps.
-# Deeper trees score more points than they save calls in a 21-lambda sweep.
-_DEPTH = 5
 # Absolute widening of the hull of a pruning block's two endpoint scores,
 # which bounds its interior scores.  The exact score is monotone along the
 # grid, and a computed one is within 2e-14 of it (see ``_scan``).
@@ -174,7 +172,7 @@ def _grid_at(index, start: float, stop: float, grid_points: int) -> np.ndarray:
     return out
 
 
-def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False, paths=None):
+def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     """Minimize ``(target - s(j))**2`` over the admissible j, once per lambda.
 
     ``[j_lo, j_hi]`` is ``joint_bounds(u, v)``, which also validated u and v.
@@ -182,52 +180,74 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False, paths
     arrays with one entry per lambda.  Each lambda's optimum on the dense
     grid, which keeps the search robust against non-unimodal curves, is the
     full scan's argmin, found by scoring only the grid blocks that could hold
-    it (see ``_scan``).  The ternary refinement of each winning bracket to
-    REFINE_TOL in j then runs for all lambdas at once (see ``_refine``), and
-    a final check keeps the best of the grid optimum and the last bracket's
-    ends and midpoint.
+    it (see ``_scan``).  Its bracket, the grid optimum's two neighbours, is
+    then refined by ternary steps to REFINE_TOL in j, and a final check keeps
+    the best of the grid optimum and the last bracket's ends and midpoint.
 
-    The two brackets at the bounds of the grid, where most answers sit, are
-    known before anything is scored, and so are their paths of ternary steps
-    toward the bound and the final check at each path's end (see
-    ``_spine_paths``).  The scan's first kernel call scores those points with
-    the block endpoints, for every lambda.  A bound optimum whose walk along
-    its path reaches REFINE_TOL (see ``_spine``) reads its final check from
-    those scores, so a solve whose scan prunes every block that its first
-    call did not score makes one kernel call in all.  The other brackets go
-    to the depth-``_DEPTH`` tree of ``_refine``, and their final check is one
-    more call.  The kernels are elementwise and every objective is ``np.square``
-    of the gap, so a point has the same bits in whichever call, under however
-    many lambdas.  ``blind`` zeroes the hesitancy: with lambda = 1 that is
-    the hesitancy-blind Minkowski score, bit for bit.  ``paths`` is
-    ``_spine_paths`` of the line, which a sweep computes once.
+    Every bracket is refined by one rule: lay out the path of steps predicted
+    toward a point (see ``_path``), score it with its final check, and walk
+    it on the scores (see ``_walk``).  Each bracket is first predicted toward
+    its grid optimum.  The two brackets at the bounds of the grid, where most
+    answers sit, and their paths toward the bound are known before anything
+    is scored, so the scan's first kernel call scores those paths with the
+    block endpoints, for every lambda.  A solve whose walk reaches the end of
+    its path and whose scan prunes every block that its first call did not
+    score makes one kernel call in all.  Each later round scores every live
+    bracket's path in one call, with one lambda per point.  The kernels are
+    elementwise and every objective is ``np.square`` of the gap, so a point
+    has the same bits in whichever call, under however many lambdas.
+    ``blind`` zeroes the hesitancy: with lambda = 1 that is the
+    hesitancy-blind Minkowski score, bit for bit.
     """
     flat = j_hi - j_lo <= 0.0
     line = (j_lo, j_hi, grid_points)
-    if paths is None:
-        paths = _spine_paths(line)
-    k, s_opt, s_paths = _scan(u, v, line, target, code, lams, blind, flat, paths[0])
+    ends = ()
+    if not flat:  # the paths of the end brackets toward their bounds
+        g = _grid_at(np.array([0, 1, grid_points - 2, grid_points - 1]), *line).tolist()
+        ends = _path(g[0], g[1], g[0]), _path(g[2], g[3], g[3])
+    extra = [x for path in ends for x in path[0]]
+    k, s_opt, s_ends = _scan(u, v, line, target, code, lams, blind, flat, extra)
     # each grid optimum, then its two neighbours, which bracket the refinement
     at = np.minimum(np.maximum(k + _NEIGHBOURS, 0), grid_points - 1)
     j_opt, lo, hi = _grid_at(at, *line)
     if flat:
         return j_opt, s_opt
 
-    bound = [-1 if i == 0 else int(i == grid_points - 1) for i in k.tolist()]
-    lo, hi, stored = _refine(u, v, target, code, lams, blind, lo, hi, bound, paths, s_paths)
-
     # The final check: the grid optimum, then the last bracket's ends and
     # midpoint.  The first of the least objectives wins, as a candidate that
     # replaces an earlier one only where it is strictly better would; no
     # objective is NaN, since d_worst + d_best >= 1.
-    j = np.array((j_opt, lo, 0.5 * (lo + hi), hi))
+    j = np.empty((4, len(lams)))
     s = np.empty_like(j)
-    s[0] = s_opt
-    rest = [i for i in range(len(lams)) if i not in stored]
-    if rest:
-        s[1:, rest] = _objective(u, v, j[1:, rest], target, code, lams[rest], blind)[1]
-    for i, c in stored.items():
-        s[1:, i] = s_paths[i, c:c + 3]
+    j[0], s[0] = j_opt, s_opt
+    obj_ends = np.square(target - s_ends)
+    scored, todo = [], []  # (cell, path, its objectives, its scores); (cell, path)
+    for i, c in enumerate(k.tolist()):
+        if c == 0 or c == grid_points - 1:
+            path = ends[c > 0]
+            start = len(ends[0][0]) if c else 0
+            cut = slice(start, start + len(path[0]))
+            scored.append((i, path, obj_ends[i, cut], s_ends[i, cut]))
+        else:
+            todo.append((i, _path(lo[i].item(), hi[i].item(), j_opt[i].item())))
+    while True:
+        for i, path, obj, s_path in scored:
+            rest = _walk(path, obj, s_path, target)
+            if rest:
+                todo.append((i, rest))
+            else:
+                j[1:, i] = path[0][-3:]
+                s[1:, i] = s_path[-3:]
+        if not todo:
+            break
+        cells, paths = zip(*todo)
+        sizes = [len(path[0]) for path in paths]
+        points = np.array([x for path in paths for x in path[0]])
+        lam = np.repeat(lams[list(cells)], sizes)
+        obj, s_all = _objective(u, v, points, target, code, lam, blind)
+        cuts = np.cumsum(sizes[:-1])
+        scored = zip(cells, paths, np.split(obj, cuts), np.split(s_all, cuts))
+        todo = []
     pick = np.square(target - s).argmin(0), np.arange(len(lams))
     return j[pick], s[pick]
 
@@ -235,9 +255,9 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False, paths
 def _objective(u, v, j, target, code, lam, blind) -> tuple[np.ndarray, np.ndarray]:
     """The objective ``(target - s)**2`` and the score ``s`` at the joint degrees ``j``.
 
-    ``lam`` broadcasts against ``j``: one lambda per column of a ``(levels,
-    n)`` tree, or a ``(len(lams), 1)`` column against a ``(1, n)`` row of
-    ``j``.  The kernels keep the shape of ``j``, the anchors a leading axis.
+    ``lam`` broadcasts against ``j``: one lambda per point of a 1-D ``j``,
+    or a ``(len(lams), 1)`` column against a ``(1, n)`` row of ``j``.  The
+    kernels keep the shape of ``j``, the anchors a leading axis.
     """
     parts = backends.terms_parts(backends.line_terms(u, v, j, blind), code)
     s = backends.ratio(backends.combine(parts, lam))
@@ -375,137 +395,66 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
     return k, s_opt, s_extra
 
 
-def _spine_paths(line) -> tuple[list, dict]:
-    """The ternary steps from each end bracket of the grid toward its bound, and their final check.
+def _path(l, h, toward) -> tuple[list, list, list]:
+    """The ternary steps from the bracket ``(l, h)`` to REFINE_TOL, predicted toward ``toward``.
 
-    ``line`` is the grid's ``(j_lo, j_hi, grid_points)``.  A lambda whose
-    grid optimum is the first grid point has the bracket ``(grid[0],
-    grid[1])``, and where the objective rises away from ``j_lo``, as it does
-    for most answers, every ternary step keeps ``(l, m2)``: only ``h``
-    moves.  That path of steps down to REFINE_TOL is known before any point
-    of it is scored, with ``_refine``'s ``third``, ``m1`` and ``m2``
-    arithmetic.  At the last grid point the bracket is ``(grid[-2],
-    grid[-1])`` and only ``l`` moves.  Returns the points of both paths in
-    one list and, keyed by the ``bound`` of ``_refine`` (-1 or 1), where a
-    path starts in it and its number of steps ``n``: a path lists its ``n``
-    points ``m1``, its ``n`` points ``m2``, then the final check ``(l, 0.5 *
-    (l + h), h)`` of its last bracket.  A zero-width line, which the scan
-    scores at one point, has no paths.
+    One step splits ``(l, h)`` at ``m1 = l + (h - l) / 3`` and ``m2 = h - (h
+    - l) / 3`` and keeps ``(l, m2)`` if ``obj(m1) < obj(m2)``, else ``(m1,
+    h)``; a bracket steps while ``h - l > REFINE_TOL``.  The path predicts
+    each step to keep ``(l, m2)`` where ``toward < 0.5 * (l + h)``, else
+    ``(m1, h)``, which is the step the rule takes on a tie, and lays out the
+    steps that follow from those predictions before any point is scored.
+    Toward ``l`` every step keeps ``(l, m2)`` and toward ``h`` every step
+    keeps ``(m1, h)``: the paths of an optimum on a bound of the grid.
+
+    Returns the points to score, the ``n`` points ``m1``, the ``n`` points
+    ``m2``, then the final check ``(l, 0.5 * (l + h), h)`` of the path's
+    last bracket; ``left``, each step's prediction, True for ``(l, m2)``;
+    and ``other``, the end of each step's bracket that its predicted step
+    drops and a step the other way keeps.
     """
-    j_lo, j_hi, grid_points = line
-    if j_hi - j_lo <= 0.0:
-        return [], {}
-    l, h, l1, h1 = _grid_at(np.array([0, 1, grid_points - 2, grid_points - 1]), *line).tolist()
-    m1s, m2s = [], []
-    while h - l > REFINE_TOL:  # toward j_lo: each step keeps (l, m2)
+    m1s, m2s, left, other = [], [], [], []
+    while h - l > REFINE_TOL:
         third = (h - l) / 3.0
         m1s.append(l + third)
-        h -= third
-        m2s.append(h)
-    lower = m1s + m2s + [l, 0.5 * (l + h), h]
-    l, h, m1s, m2s = l1, h1, [], []
-    while h - l > REFINE_TOL:  # toward j_hi: each step keeps (m1, h)
-        third = (h - l) / 3.0
-        l += third
-        m1s.append(l)
         m2s.append(h - third)
-    sides = {-1: (0, (len(lower) - 3) // 2), 1: (len(lower), len(m1s))}
-    return lower + m1s + m2s + [l, 0.5 * (l + h), h], sides
+        if toward < 0.5 * (l + h):
+            left.append(True)
+            other.append(h)
+            h -= third
+        else:
+            left.append(False)
+            other.append(l)
+            l += third
+    return m1s + m2s + [l, 0.5 * (l + h), h], left, other
 
 
-def _spine(paths, obj, lo, hi, cells, bound) -> dict:
-    """Walk every bracket in ``cells`` along its stored path toward its grid bound.
+def _walk(path, obj, s, target):
+    """Walk ``path`` on its points' objectives ``obj`` and scores ``s``; the next path, or None.
 
-    ``paths`` is ``_spine_paths``'s result and ``obj`` the objective of its
-    points, already scored, one row per lambda.  The walk takes each step by
-    ``_refine``'s rule up to the first one that goes the other way, found in
-    one search of the row, and leaves that bracket to the tree.  ``lo`` and
-    ``hi`` are lists and are updated in place.  Returns, for each cell that
-    walked its whole path, the index in ``paths`` where its final check's
-    three points start.
+    The walk takes each step by the rule, ``obj(m1) < obj(m2)`` on the
+    scored objectives, up to the first step that goes against the
+    prediction, and takes that step by the rule too: both its points are
+    scored.  So every step is decided on the same computed objectives as in
+    one kernel call per step, and a wrong prediction costs a round, never a
+    different answer.  Where every step goes as predicted, the path's final
+    check is already scored and the walk returns None.  Else it predicts the
+    rest from the bracket that step leaves, toward where the secant through
+    that step's two scores meets the target (regula falsi): the score is
+    monotone and nearly linear across a bracket.  Two equal scores predict
+    the rule's tie step, toward ``h``.
     """
-    points, sides = paths
-    stored = {}
-    for i in cells:
-        b = bound[i]
-        start, n = sides[b]
-        o = obj[i, start:start + 2 * n]
-        turn = (o[:n] < o[n:]) != (b < 0)  # where a step would go the other way
-        t = int(turn.argmax()) if turn.any() else n
-        if t:
-            if b < 0:
-                hi[i] = points[start + n + t - 1]
-            else:
-                lo[i] = points[start + t - 1]
-        if t == n:
-            stored[i] = start + 2 * n
-    return stored
-
-
-def _refine(
-    u, v, target, code, lams, blind, lo, hi, bound, paths, s_paths
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Ternary-search every bracket ``[lo[i], hi[i]]`` down to REFINE_TOL.
-
-    One step splits ``(l, h)`` at ``m1 = l + (h - l) / 3`` and
-    ``m2 = h - (h - l) / 3`` and keeps ``(l, m2)`` if ``obj(m1) < obj(m2)``,
-    else ``(m1, h)``; a bracket steps while ``h - l > REFINE_TOL``.
-    ``bound[i]`` is -1 where the grid optimum is the first grid point, 1
-    where it is the last and 0 elsewhere.  The brackets at a bound first
-    walk their path toward it, on the scores ``s_paths`` that the scan made
-    (see ``_spine``): for most of them that is every step, and no kernel
-    call.  Then each round scores, in one ``_objective`` call, the points of
-    every step the next ``_DEPTH`` steps could take: the whole tree of
-    brackets below each live cell's current one.  Walking down it takes the
-    same steps, on the same bits, as stepping one call at a time.  The other
-    arguments are ``_objective``'s.  Returns the final brackets, and
-    ``_spine``'s result: where the final checks already scored sit in the
-    paths.
-    """
-    lo, hi = lo.tolist(), hi.tolist()
-    cells = [i for i, b in enumerate(bound) if b]
-    stored = _spine(paths, np.square(target - s_paths), lo, hi, cells, bound) if cells else {}
-    live = [i for i, (l, h) in enumerate(zip(lo, hi)) if h - l > REFINE_TOL]
-    while live:
-        n = len(live)
-        # Level d of the tree has 2**d nodes, and node t of cell c has its
-        # bounds at tree[t * n + c] and tree[size - (2**d - t) * n + c].  The
-        # left child (l, m2) of node t is node t of level d + 1 and the right
-        # child (m1, h) is node t + 2**d, so every level's lower bounds extend
-        # the previous level's at the front of the array and its upper bounds
-        # at the back, and tree[n:-n] holds exactly the points m1 and m2.
-        size = n << (_DEPTH + 1)
-        tree = np.empty(size)
-        tree[:n] = [lo[i] for i in live]
-        tree[-n:] = [hi[i] for i in live]
-        for d in range(_DEPTH):
-            k = n << d
-            third = (tree[size - k:] - tree[:k]) / 3.0
-            np.add(tree[:k], third, out=tree[k:2 * k])
-            np.subtract(tree[size - k:], third, out=tree[size - 2 * k:size - k])
-        j = tree[n:-n].reshape(-1, n)
-        obj = _objective(u, v, j, target, code, lams[live], blind)[0].ravel().tolist()
-        tree = tree.tolist()
-        still = []
-        for c, i in enumerate(live):
-            l, h = lo[i], hi[i]
-            t = 0
-            for d in range(_DEPTH):
-                if h - l <= REFINE_TOL:
-                    break
-                k = n << d
-                m1 = k + t * n + c
-                m2 = size - 2 * k + t * n + c
-                if obj[m1 - n] < obj[m2 - n]:
-                    h = tree[m2]
-                else:
-                    l = tree[m1]
-                    t += 1 << d
-            lo[i], hi[i] = l, h
-            if h - l > REFINE_TOL:
-                still.append(i)
-        live = still
-    return np.array(lo), np.array(hi), stored
+    points, left, other = path
+    n = len(left)
+    turn = (obj[:n] < obj[n:2 * n]) != left
+    if not turn.any():
+        return None
+    t = int(turn.argmax())
+    m1, m2 = points[t], points[n + t]
+    l, h = (m1, other[t]) if left[t] else (other[t], m2)
+    s1, s2 = s[t].item(), s[n + t].item()
+    toward = h if s1 == s2 else m1 + (target - s1) * (m2 - m1) / (s2 - s1)
+    return _path(l, h, toward)
 
 
 def _check_grid(grid_points) -> None:
@@ -601,12 +550,9 @@ def sensitivity_sweep(
     target = 1.0 - _check_unit(patient_pain, "patient pain")
     j_lo, j_hi = joint_bounds(u, v)
     lams = check_lambdas(lambda_grid)
-    paths = _spine_paths((j_lo, j_hi, grid_points))
     rows = []
     for p in p_list:
-        j_opt, s_opt = _solve(
-            u, v, j_lo, j_hi, target, order_code(p), lams, grid_points, paths=paths
-        )
+        j_opt, s_opt = _solve(u, v, j_lo, j_hi, target, order_code(p), lams, grid_points)
         rows.extend(
             SweepRow(p, lam, j, s, target - s)
             for lam, j, s in zip(lams.tolist(), j_opt.tolist(), s_opt.tolist())
@@ -625,12 +571,10 @@ def legacy_comparison_sweep(
     _check_grid(grid_points)
     target = 1.0 - _check_unit(patient_pain, "patient pain")
     j_lo, j_hi = joint_bounds(u, v)
-    paths = _spine_paths((j_lo, j_hi, grid_points))
     rows = []
     for p in p_list:
         j, s = _solve(
-            u, v, j_lo, j_hi, target, order_code(p), np.ones(1), grid_points, blind=True,
-            paths=paths,
+            u, v, j_lo, j_hi, target, order_code(p), np.ones(1), grid_points, blind=True
         )
         rows.append(LegacySweepRow(p, j.item(), s.item(), target - s.item()))
     return rows

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from . import backends
 from .cfn import CognitiveFuzzyNumber
 from .distance import DistanceParams, component_rows, order_code
-from .errors import DegenerateDenominatorError
 
 BEST_ANCHOR = CognitiveFuzzyNumber(1.0, 0.0, 0.0)
 WORST_ANCHOR = CognitiveFuzzyNumber(0.0, 1.0, 0.0)
@@ -27,8 +26,6 @@ EQUAL = "equal"
 
 # Scores closer than this are reported as a tie.
 TIE_TOL = 1e-12
-# A score normalizer d(f, worst) + d(f, best) below this is degenerate.
-DEGENERATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,31 +37,25 @@ class ScoreResult:
     d_to_best: float
 
 
-def scores(rows, code: int, lam, fs) -> tuple:
-    """``(s, d_to_worst, d_to_best)`` arrays of the CFNs ``fs``, whose component rows are ``rows``.
+def scores(rows, code: int, lam) -> tuple:
+    """``(s, d_to_worst, d_to_best)`` arrays of the CFNs whose component rows are ``rows``.
 
     ``lam`` is a balance value, one per row, or an ``(L, 1)`` column, which
     puts an axis on the ``(2, n)`` anchor parts and scores every row under
-    each.  A normalizer below ``DEGENERATE_TOL`` raises
-    ``DegenerateDenominatorError``.
+    each.  The normalizer ``d_to_worst + d_to_best`` is at least
+    ``d(worst, best) >= 1`` by the triangle inequality, and its computed
+    value is within a few ulps of that, so the division never degenerates.
     """
     parts = backends.anchor_parts(rows, code)
     if getattr(lam, "ndim", 0) == 2:
         parts = [x[:, None] for x in parts]
     d_worst, d_best = backends.combine(parts, lam)
-    denom = d_worst + d_best
-    degenerate = denom < DEGENERATE_TOL
-    if degenerate.any():
-        i = int(degenerate.argmax())
-        raise DegenerateDenominatorError(
-            f"score normalizer collapsed to {float(denom.flat[i])!r} for {fs[i % len(fs)]}"
-        )
-    return d_worst / denom, d_worst, d_best
+    return d_worst / (d_worst + d_best), d_worst, d_best
 
 
 def score(f: CognitiveFuzzyNumber, params: DistanceParams) -> ScoreResult:
     """Combined-distance score of ``f`` under the given order and balance."""
-    s, d_worst, d_best = scores(component_rows((f,)), order_code(params.p), params.lam, (f,))
+    s, d_worst, d_best = scores(component_rows((f,)), order_code(params.p), params.lam)
     return ScoreResult(float(s[0]), float(d_worst[0]), float(d_best[0]))
 
 

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from cfkit import CFN, CHEBYSHEV, DistanceParams, PerturbationConfig, run_study, score
-from cfkit import backends
-from cfkit.errors import DegenerateDenominatorError
 from cfkit.figures import score_rows
 from cfkit.perturbation import _BLOCK_ROWS, STUDY_HEADER, write_study
 
@@ -78,17 +76,3 @@ def test_score_rows_matches_scalar_score():
     assert len(rows) == 101 * 10
     for lam, p, *values in rows[::37]:
         assert values == [score(f, DistanceParams(p=p, lam=lam)).s for f in fs]
-
-
-def test_score_rows_names_the_degenerate_cfn(monkeypatch):
-    # zero every anchor distance of the second CFN only
-    anchor_parts = backends.anchor_parts
-
-    def collapsed(rows, p_code):
-        return tuple(np.where([1.0, 0.0, 1.0], part, 0.0) for part in anchor_parts(rows, p_code))
-
-    monkeypatch.setattr(backends, "anchor_parts", collapsed)
-    fs = (CFN(0.8, 0.4, 0.32), CFN(0.1, 0.9, 0.09), CFN(0.5, 0.5, 0.0))
-    with pytest.raises(DegenerateDenominatorError) as info:
-        score_rows(fs)
-    assert str(info.value).endswith(f"collapsed to 0.0 for {fs[1]}")

@@ -16,7 +16,7 @@ from cfkit import (
     score,
 )
 from cfkit.distance import component_rows, pairwise
-from cfkit.score import EQUAL, FIRST_BETTER, SECOND_BETTER
+from cfkit.score import EQUAL, FIRST_BETTER, SECOND_BETTER, scores
 
 from helpers import cfns, random_cfns
 
@@ -114,6 +114,21 @@ LAMBDAS = st.one_of(st.sampled_from((-0.0, 0.0, 1.0)), st.floats(0.0, 1.0))
 
 def bits(x):
     return np.float64(x).tobytes()
+
+
+class TestNormalizer:
+    """``d(f, worst) + d(f, best) >= d(worst, best) >= 1`` by the triangle
+    inequality, so ``score.scores`` never divides by a collapsed normalizer.
+    Each computed distance is within 1e-14 of the exact one (see
+    ``pain._scan``), hence the slack."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(ANY_CFNS, min_size=1, max_size=20), st.integers(0, 64), LAMBDAS)
+    @example([BEST_ANCHOR, WORST_ANCHOR, CFN(1e-6, 1.0 - 1e-6, 0.0)], 64, 5e-17)
+    @example([BEST_ANCHOR, WORST_ANCHOR, CFN(0.5, 0.5, 0.0)], 0, 0.3)
+    def test_at_least_one(self, fs, code, lam):
+        _, d_worst, d_best = scores(component_rows(fs), code, lam)
+        assert (d_worst + d_best).min() >= 1.0 - 2e-14
 
 
 class TestOneCombinedDistance:
