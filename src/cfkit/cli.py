@@ -3,7 +3,9 @@
 Subcommands: distance, score, simulate, pain-eval, sweep, export-figures.
 Plain output prints numbers with six decimals; CSV and JSON carry full
 precision.  Data goes to stdout or --out; errors go to stderr as one JSON
-line; the process exits nonzero on failure.
+line, ``{"error", "message"}``, plus ``where`` where the place at fault is
+known (the file, and for a batch row its line and its field or CFN); the
+process exits nonzero on failure.
 
 Each runner imports the modules its command needs, so ``distance`` loads
 only ``cfn``, ``distance``, ``backends`` and ``errors`` of cfkit.
@@ -85,13 +87,24 @@ _BLANK = ("\n", "\r\n", "\r")
 _LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _batch_where(row) -> str:
-    """Name the field of a six-field batch row that is not a number."""
+def _batch_where(row) -> str | None:
+    """The name of the first field of a six-field batch row that is not a number."""
     for name, cell in zip(_BATCH_FIELDS, row):
         try:
             float(cell)
         except ValueError:
-            return f"field {name}"
+            return name
+
+
+def _located(kind, message, **where):
+    """A ``kind`` error with ``message`` and the ``where`` of the CLI's JSON error.
+
+    ``where`` names the place at fault: ``file``, ``line``, and ``field`` or
+    ``cfn`` (the three fields of the CFN) where known.
+    """
+    exc = kind(message)
+    exc.where = where
+    return exc
 
 
 def _validate_block(values):
@@ -112,13 +125,15 @@ def _block_rows(path, values, line_nums) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         i = int(bad.argmax())
         if bad1[i]:
-            where, triple = "first CFN u1,v1,j1", block[i, :3]
+            which, fields, triple = "first", _BATCH_FIELDS[:3], block[i, :3]
         else:
-            where, triple = "second CFN u2,v2,j2", block[i, 3:]
+            which, fields, triple = "second", _BATCH_FIELDS[3:], block[i, 3:]
+        cfn, line = ",".join(fields), line_nums[i]
         try:
             CognitiveFuzzyNumber(*triple.tolist())
         except ValueError as exc:
-            raise type(exc)(f"{path} line {line_nums[i]}, {where}: {exc}") from exc
+            message = f"{path} line {line}, {which} CFN {cfn}: {exc}"
+            raise _located(type(exc), message, file=path, line=line, cfn=cfn) from exc
     return a, b
 
 
@@ -231,8 +246,11 @@ def _csv_blocks(path, lines, skip, rows, measure, params):
                 values.extend([float(x) for x in row])
             except ValueError as exc:
                 _block_rows(path, values, line_nums)  # an earlier bad row comes first
-                where = f", {_batch_where(row)}" if len(row) == 6 else ""
-                raise type(exc)(f"{path} line {line}{where}: {exc}") from exc
+                name = _batch_where(row) if len(row) == 6 else None
+                field = {"field": name} if name else {}
+                text = f", field {name}" if name else ""
+                message = f"{path} line {line}{text}: {exc}"
+                raise _located(type(exc), message, file=path, line=line, **field) from exc
             line_nums.append(line)
             if len(line_nums) == size:
                 yield _distance_lines(measure, params, *_block_rows(path, values, line_nums))
@@ -240,7 +258,8 @@ def _csv_blocks(path, lines, skip, rows, measure, params):
     except csv.Error as exc:
         # a line the reader cannot split, such as a field over csv.field_size_limit()
         _block_rows(path, values, line_nums)
-        raise ValueError(f"{path} line {skip + reader.line_num}: {exc}") from exc
+        line = skip + reader.line_num
+        raise _located(ValueError, f"{path} line {line}: {exc}", file=path, line=line) from exc
     if line_nums:
         yield _distance_lines(measure, params, *_block_rows(path, values, line_nums))
 
@@ -435,10 +454,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (CfkitError, ValueError, OSError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+        where = getattr(exc, "where", None)
+        if where is None and isinstance(exc, OSError) and exc.filename is not None:
+            where = {"file": exc.filename}
+        if where:
+            payload["where"] = where
+        print(json.dumps(payload), file=sys.stderr)
         return 1
 
 

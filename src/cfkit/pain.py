@@ -20,14 +20,16 @@ grid scan returns the full scan's argmin bit for bit but scores only what
 could hold it: every ``_SPAN``-th grid point and the last one, with the
 whole first and last block between them, first; then the interior of another
 block only where the scores at its two endpoints, between which the score is
-monotone, could reach the best objective of some lambda (see ``_scan``).  It
-scores those kept points at most ``_BLOCK`` per kernel call.  The refinement
+monotone, could reach the best objective of some lambda, and whose two
+endpoints differ in ``j`` (see ``_scan``).  It scores those kept points at
+most ``_BLOCK`` per kernel call.  The refinement
 has one rule: each bracket's ternary steps are laid out along a path
 predicted toward a point, scored in one call, and walked on the scores, and
 where a step goes against the prediction the rest is predicted again (see
 ``_solve``).  Most answers sit on a bound of the grid, whose paths toward
 the bound are known before anything is scored, so most solves make one
-kernel call: the endpoints, the two end blocks and those paths.
+kernel call: the endpoints, the two end blocks and those paths.  Around
+that call the solve keeps its bookkeeping in Python floats.
 ``solve_programming1`` is the one-lambda case, ``sensitivity_sweep`` solves
 once per order over the whole lambda grid, and ``legacy_comparison_sweep``
 scores rows with their hesitancy dropped at lambda = 1, which is the
@@ -38,6 +40,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +78,6 @@ _SPAN = 64
 # 5,000 times.
 _BLOCK = 2048
 _INTERIOR = np.arange(1, _SPAN)  # a block's interior, from its first endpoint
-_NEIGHBOURS = np.array([[0], [-1], [1]])  # a grid optimum, then its neighbours
 # Absolute widening of the hull of a pruning block's two endpoint scores,
 # which bounds its interior scores.  The exact score is monotone along the
 # grid, and a computed one is within 2e-14 of it (see ``_scan``).
@@ -172,6 +175,34 @@ def _grid_at(index, start: float, stop: float, grid_points: int) -> np.ndarray:
     return out
 
 
+def _point(i: int, start: float, stop: float, grid_points: int) -> float:
+    """``_grid_at`` of the one index ``i``, as a Python float, by the same IEEE operations."""
+    div = grid_points - 1
+    if i == div:
+        return stop
+    delta = stop - start
+    step = delta / div
+    return (i / div * delta if step == 0.0 else i * step) + start
+
+
+@lru_cache(maxsize=16)
+def _layout(grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_scan``'s block endpoints and the grid indices of its first kernel call.
+
+    The endpoints are every ``_SPAN``-th grid index, then the last one.  The
+    first call's indices are the first block, the endpoints between, then
+    the last block, in grid order.  Both depend on the grid size alone, so
+    they are built once per size and made read-only.
+    """
+    ends = np.arange(0, grid_points + _SPAN - 1, _SPAN)
+    ends[-1] = grid_points - 1
+    index = np.concatenate(
+        [np.arange(ends[1]), ends[1:-1], np.arange(ends[-2] + 1, grid_points)]
+    )
+    ends.flags.writeable = index.flags.writeable = False
+    return ends, index
+
+
 def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     """Minimize ``(target - s(j))**2`` over the admissible j, once per lambda.
 
@@ -198,46 +229,52 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     has the same bits in whichever call, under however many lambdas.
     ``blind`` zeroes the hesitancy: with lambda = 1 that is the
     hesitancy-blind Minkowski score, bit for bit.
+
+    Past the scan, the bookkeeping is on Python floats, which are the same
+    IEEE doubles: the grid points of the brackets come from ``_point``, and
+    each lambda's optimum ``j``, score and objective are list entries, from
+    the scan's own arrays at its argmin.
     """
     flat = j_hi - j_lo <= 0.0
-    line = (j_lo, j_hi, grid_points)
-    ends = ()
-    if not flat:  # the paths of the end brackets toward their bounds
-        g = _grid_at(np.array([0, 1, grid_points - 2, grid_points - 1]), *line).tolist()
-        ends = _path(g[0], g[1], g[0]), _path(g[2], g[3], g[3])
-    extra = [x for path in ends for x in path[0]]
-    k, s_opt, s_ends = _scan(u, v, line, target, code, lams, blind, flat, extra)
-    # each grid optimum, then its two neighbours, which bracket the refinement
-    at = np.minimum(np.maximum(k + _NEIGHBOURS, 0), grid_points - 1)
-    j_opt, lo, hi = _grid_at(at, *line)
+    last = grid_points - 1
+    ends, extra = (), []
+    if not flat:  # the end brackets' paths toward their bounds, grid points 0 and last
+        ends = (
+            _path(j_lo, _point(1, j_lo, j_hi, grid_points), j_lo),
+            _path(_point(last - 1, j_lo, j_hi, grid_points), j_hi, j_hi),
+        )
+        extra = ends[0][0] + ends[1][0]
+    k, j_opt, s_opt, best, obj_ends, s_ends = _scan(
+        u, v, (j_lo, j_hi, grid_points), target, code, lams, blind, flat, extra
+    )
     if flat:
         return j_opt, s_opt
 
     # The final check: the grid optimum, then the last bracket's ends and
-    # midpoint.  The first of the least objectives wins, as a candidate that
-    # replaces an earlier one only where it is strictly better would; no
-    # objective is NaN, since d_worst + d_best >= 1.
-    j = np.empty((4, len(lams)))
-    s = np.empty_like(j)
-    j[0], s[0] = j_opt, s_opt
-    obj_ends = np.square(target - s_ends)
+    # midpoint.  A candidate replaces the optimum only where it is strictly
+    # better, so the first of the least objectives wins; no objective is
+    # NaN, since d_worst + d_best >= 1.
+    j_opt, s_opt, best = j_opt.tolist(), s_opt.tolist(), best.tolist()
     scored, todo = [], []  # (cell, path, its objectives, its scores); (cell, path)
     for i, c in enumerate(k.tolist()):
-        if c == 0 or c == grid_points - 1:
+        if c == 0 or c == last:
             path = ends[c > 0]
             start = len(ends[0][0]) if c else 0
             cut = slice(start, start + len(path[0]))
-            scored.append((i, path, obj_ends[i, cut], s_ends[i, cut]))
-        else:
-            todo.append((i, _path(lo[i].item(), hi[i].item(), j_opt[i].item())))
+            scored.append((i, path, obj_ends[i, cut].tolist(), s_ends[i, cut].tolist()))
+        else:  # the grid optimum's two neighbours bracket it
+            lo = _point(c - 1, j_lo, j_hi, grid_points)
+            hi = _point(c + 1, j_lo, j_hi, grid_points)
+            todo.append((i, _path(lo, hi, j_opt[i])))
     while True:
         for i, path, obj, s_path in scored:
             rest = _walk(path, obj, s_path, target)
             if rest:
                 todo.append((i, rest))
-            else:
-                j[1:, i] = path[0][-3:]
-                s[1:, i] = s_path[-3:]
+                continue
+            for x, ox, sx in zip(path[0][-3:], obj[-3:], s_path[-3:]):
+                if ox < best[i]:
+                    j_opt[i], s_opt[i], best[i] = x, sx, ox
         if not todo:
             break
         cells, paths = zip(*todo)
@@ -245,11 +282,14 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
         points = np.array([x for path in paths for x in path[0]])
         lam = np.repeat(lams[list(cells)], sizes)
         obj, s_all = _objective(u, v, points, target, code, lam, blind)
-        cuts = np.cumsum(sizes[:-1])
-        scored = zip(cells, paths, np.split(obj, cuts), np.split(s_all, cuts))
+        obj, s_all = obj.tolist(), s_all.tolist()
+        cuts = [0, *accumulate(sizes)]
+        scored = [
+            (i, path, obj[a:b], s_all[a:b])
+            for i, path, a, b in zip(cells, paths, cuts, cuts[1:])
+        ]
         todo = []
-    pick = np.square(target - s).argmin(0), np.arange(len(lams))
-    return j[pick], s[pick]
+    return np.array(j_opt), np.array(s_opt)
 
 
 def _objective(u, v, j, target, code, lam, blind) -> tuple[np.ndarray, np.ndarray]:
@@ -267,10 +307,12 @@ def _objective(u, v, j, target, code, lam, blind) -> tuple[np.ndarray, np.ndarra
 def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarray, ...]:
     """Each lambda's grid argmin of ``(target - s)**2``, and the score there, scoring what can win.
 
-    ``line`` is the grid's ``(j_lo, j_hi, grid_points)``; returns grid
-    indices and scores, and the ``(len(lams), len(extra))`` scores of the
-    list of points ``extra``.  The grid splits into blocks of ``_SPAN``
-    points between endpoints.  The first kernel call scores, for every
+    ``line`` is the grid's ``(j_lo, j_hi, grid_points)``; returns, per
+    lambda, the grid index, ``j``, score and objective of the argmin, the
+    same bits as ``_grid_at`` of that index and its scoring, then the
+    ``(len(lams), len(extra))`` objectives and scores of the list of points
+    ``extra``.  The grid splits into blocks of ``_SPAN`` points between
+    endpoints (see ``_layout``).  The first kernel call scores, for every
     lambda, the endpoints, the whole first and last block, where most optima
     lie, and ``extra``.  The score is monotone in ``j`` along the line (the
     lemma below), so every interior score of another block lies in the hull
@@ -280,6 +322,19 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
     the first call are scored.  The argmin over all scored points, first in
     grid order on a tie, is the full scan's bit for bit, since every pruned
     point's objective exceeds that best one and so neither wins nor ties.
+
+    Of the blocks that bound keeps, a block whose two endpoints have the
+    same ``j`` is pruned too, as where an interval a few ulps wide has few
+    distinct grid points.  The grid is monotone inside the blocks between
+    the first and the last, where ``stop`` does not replace a point, since
+    every operation of ``_grid_at`` rounds monotonically.  So equal endpoints
+    give every point of the block that ``j``, and so the same terms, score
+    and objective as its first endpoint, which comes earlier in grid order
+    and was scored in the first call: none of them can be the first of the
+    least.  Equal includes -0.0 and 0.0, which give the same terms: each
+    term is the absolute value of ``j`` or of a sum or difference with
+    ``j``, and those differ at most in the sign of a zero.  The check runs
+    only where some block is kept, so a one-call solve does not pay for it.
 
     The lemma: along the admissible line the exact score ``s(j) = d_w / (d_w
     + d_b)`` is non-decreasing in ``j`` where ``u < v``, non-increasing where
@@ -345,33 +400,26 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
       objective can fall to the best one.
 
     A zero-width interval (``flat``) has one j, and scores one point and
-    ``extra``.  The first call lays its grid points out in grid order.  The
-    kept interiors are the kept blocks' first endpoints plus ``_INTERIOR``,
-    scored at most ``_BLOCK`` points per kernel call.  Each call scores its
-    points as a ``(1, n)`` row against the column of all lambdas, with one
-    ``combine``; each lambda's argmin follows the same rule: first in grid
-    order on a tie.
+    ``extra``.  The first call lays its grid points out in grid order, by
+    the layout cached for the grid size.  The kept interiors are the kept
+    blocks' first endpoints plus ``_INTERIOR``, scored at most ``_BLOCK``
+    points per kernel call.  Each call scores its points as a ``(1, n)`` row
+    against the column of all lambdas, with one ``combine``; each lambda's
+    argmin follows the same rule: first in grid order on a tie.
     """
-    grid_points = line[2]
-    # every _SPAN-th grid point, then the last one
-    ends = np.arange(0, grid_points + _SPAN - 1, _SPAN)
-    ends[-1] = grid_points - 1
+    ends, index = _layout(line[2])
     if flat:
-        index = ends[:1]
-    else:  # the first block, the endpoints between, then the last block
-        index = np.concatenate(
-            [np.arange(ends[1]), ends[1:-1], np.arange(ends[-2] + 1, grid_points)]
-        )
+        index = index[:1]
     n = len(index)
     lam = lams[:, None]
     rows = np.arange(len(lams))
-    j = np.concatenate([_grid_at(index, *line), extra])[None]
-    obj, s = _objective(u, v, j, target, code, lam, blind)
+    j = np.concatenate([_grid_at(index, *line), extra])
+    obj, s = _objective(u, v, j[None], target, code, lam, blind)
     m = obj[:, :n].argmin(1)
-    k, best, s_opt = index[m], obj[rows, m], s[rows, m]
-    s_extra = s[:, n:]
+    k, j_opt, s_opt, best = index[m], j[m], s[rows, m], obj[rows, m]
+    obj_extra, s_extra = obj[:, n:], s[:, n:]
     if flat:
-        return k, s_opt, s_extra
+        return k, j_opt, s_opt, best, obj_extra, s_extra
 
     # the scores at ends[1:-1], in the first call from column ends[1] on,
     # bound the interiors of the blocks between them
@@ -381,18 +429,24 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
     s_hi = np.maximum(left, right) + _SLACK
     gap = np.maximum(np.maximum(s_lo - target, target - s_hi), 0.0)
     keep = (np.square(gap) <= best[:, None]).any(0)
-    index = (ends[1:-2][keep, None] + _INTERIOR).ravel()
-    for b in range(0, len(index), _BLOCK):
-        chunk = index[b:b + _BLOCK]
-        obj, s = _objective(u, v, _grid_at(chunk, *line)[None], target, code, lam, blind)
-        m = obj.argmin(1)
-        o, at = obj[rows, m], chunk[m]
-        win = (o < best) | ((o == best) & (at < k))
-        if win.any():
-            np.copyto(k, at, where=win)
-            np.copyto(best, o, where=win)
-            np.copyto(s_opt, s[rows, m], where=win)
-    return k, s_opt, s_extra
+    if keep.any():
+        # a block whose endpoints have the same j has that j throughout
+        j_ends = j[ends[1]:ends[1] + len(ends) - 2]
+        keep &= j_ends[:-1] != j_ends[1:]
+        index = (ends[1:-2][keep, None] + _INTERIOR).ravel()
+        for b in range(0, len(index), _BLOCK):
+            chunk = index[b:b + _BLOCK]
+            j = _grid_at(chunk, *line)
+            obj, s = _objective(u, v, j[None], target, code, lam, blind)
+            m = obj.argmin(1)
+            o, at = obj[rows, m], chunk[m]
+            win = (o < best) | ((o == best) & (at < k))
+            if win.any():
+                np.copyto(k, at, where=win)
+                np.copyto(j_opt, j[m], where=win)
+                np.copyto(s_opt, s[rows, m], where=win)
+                np.copyto(best, o, where=win)
+    return k, j_opt, s_opt, best, obj_extra, s_extra
 
 
 def _path(l, h, toward) -> tuple[list, list, list]:
@@ -414,8 +468,8 @@ def _path(l, h, toward) -> tuple[list, list, list]:
     drops and a step the other way keeps.
     """
     m1s, m2s, left, other = [], [], [], []
-    while h - l > REFINE_TOL:
-        third = (h - l) / 3.0
+    while (width := h - l) > REFINE_TOL:
+        third = width / 3.0
         m1s.append(l + third)
         m2s.append(h - third)
         if toward < 0.5 * (l + h):
@@ -432,6 +486,9 @@ def _path(l, h, toward) -> tuple[list, list, list]:
 def _walk(path, obj, s, target):
     """Walk ``path`` on its points' objectives ``obj`` and scores ``s``; the next path, or None.
 
+    ``obj`` and ``s`` are lists of Python floats, in the order of the path's
+    points.
+
     The walk takes each step by the rule, ``obj(m1) < obj(m2)`` on the
     scored objectives, up to the first step that goes against the
     prediction, and takes that step by the rule too: both its points are
@@ -446,13 +503,13 @@ def _walk(path, obj, s, target):
     """
     points, left, other = path
     n = len(left)
-    turn = (obj[:n] < obj[n:2 * n]) != left
-    if not turn.any():
+    steps = list(map(operator.lt, obj[:n], obj[n:2 * n]))
+    if steps == left:
         return None
-    t = int(turn.argmax())
+    t = next(t for t in range(n) if steps[t] != left[t])
     m1, m2 = points[t], points[n + t]
     l, h = (m1, other[t]) if left[t] else (other[t], m2)
-    s1, s2 = s[t].item(), s[n + t].item()
+    s1, s2 = s[t], s[n + t]
     toward = h if s1 == s2 else m1 + (target - s1) * (m2 - m1) / (s2 - s1)
     return _path(l, h, toward)
 

@@ -177,10 +177,45 @@ class TestDistanceCommand:
         assert json.loads(err)["error"] == "OutOfRangeError"
         assert not out_file.exists()
 
+    @pytest.mark.parametrize(
+        "rows,where",
+        [
+            ("0.8,0.4,0.32,0.1\n", {"line": 2}),
+            ("0.8,abc,0.32,0.1,0.9,0.09\n", {"line": 2, "field": "v1"}),
+            ("0.8,0.4,0.5,0.1,0.9,0.09\n", {"line": 2, "cfn": "u1,v1,j1"}),
+            ("0.8,0.4,0.32,1.4,0.9,0.09\n", {"line": 2, "cfn": "u2,v2,j2"}),
+            ("1" * (csv.field_size_limit() + 1) + "\n", {"line": 2}),
+            # read in bulk up to the first block that holds a bad row
+            ("0.3,0.2,0.1,1,0,0\n" * 9000 + "0.8,0.4,0.32,0.1,x,0.09\n",
+             {"line": 9002, "field": "v2"}),
+            ("0.3,0.2,0.1,1,0,0\n" * 9000 + "0.8,0.4,0.32,1.4,0.9,0.09\n",
+             {"line": 9002, "cfn": "u2,v2,j2"}),
+        ],
+        ids=["field-count", "non-numeric", "first-cfn", "second-cfn", "field-limit",
+             "non-numeric-after-first-block", "second-cfn-after-first-block"],
+    )
+    def test_batch_error_where(self, capsys, tmp_path, rows, where):
+        # The JSON error locates a bad batch row as its message does.
+        batch = tmp_path / "pairs.csv"
+        batch.write_text("0.3,0.2,0.1,1,0,0\n" + rows)
+        code, _, err = run(capsys, "distance", "--measure", "c", "--batch", str(batch))
+        assert code == 1
+        payload = json.loads(err)
+        assert list(payload) == ["error", "message", "where"]
+        assert payload["where"] == {"file": str(batch), **where}
+
+    def test_missing_file_where(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        code, _, err = run(capsys, "distance", "--measure", "c", "--batch", missing)
+        assert code == 1
+        assert json.loads(err)["where"] == {"file": missing}
+
     def test_missing_operands(self, capsys):
         code, _, err = run(capsys, "distance", "--measure", "h")
         assert code == 1
-        assert json.loads(err)["error"] == "ValueError"
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "distance needs two CFN literals or --batch FILE"
+        }
 
     def test_bad_literal_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -147,6 +147,9 @@ def reference_score(u, v, j, code, lam):
     return float(backends.ratio(backends.combine(parts, lam))[0])
 
 
+# u at 1: j_hi - j_lo = 1.1e-16, so the grid holds three distinct values of j.
+ULPS_WIDE = (1.0, 0.2991984594656608)
+
 # A p=64 pair within 1e-5 of the best anchor: the norms to it of the grid's
 # rows, the pruning blocks' endpoints among them, take the underflow rescue
 # of backends._finish.
@@ -254,6 +257,10 @@ class TestSolveMatchesReference:
     @example(uv=(1.0, 0.3), target=0.4, p=2, lams=np.linspace(0.0, 1.0, 21), blind=False)
     # a wide interval: at grid 101 the spine paths take 33 steps
     @example(uv=(0.49, 0.52), target=0.48, p=3, lams=np.array([0.5]), blind=False)
+    # an interval two ulps wide: every score ties within pain._SLACK, and most
+    # blocks have the same j at both endpoints, so only the equal-j check
+    # prunes them
+    @example(uv=ULPS_WIDE, target=0.9, p=3, lams=np.array([0.0, 0.5, 1.0]), blind=False)
     def test_bitwise(self, grid_points, uv, target, p, lams, blind):
         u, v = uv
         j_lo, j_hi = joint_bounds(u, v)
@@ -320,6 +327,36 @@ class TestSolveMatchesReference:
         assert steps > 15
         assert len(calls) <= 4
         assert 3 not in calls  # no final check is scored on its own
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("target", [0.2, 0.5, 0.9])
+    def test_ulps_wide_interval_prunes_equal_j_blocks(self, lam, target, monkeypatch):
+        # Every score of the grid ties within pain._SLACK, so the hull of a
+        # block's endpoint scores prunes nothing.  A block whose endpoints
+        # have the same j is pruned all the same: only the one block where
+        # the grid's j changes is scored after the first call, then at most
+        # one final check.  Scoring every kept block would take 6 or 7 calls
+        # and 10,007 points or more.
+        calls = self.kernel_calls(monkeypatch)
+        u, v = ULPS_WIDE
+        pain._solve(u, v, *joint_bounds(u, v), target, 3, np.array([lam]), 10001)
+        assert len(calls) <= 3
+        assert sum(calls) < 500
+
+    def test_bound_optimum_computes_the_grid_once(self, monkeypatch):
+        # The end brackets' grid points and an optimum's neighbours are
+        # Python floats from pain._point: the one _grid_at call is the scan's
+        # first kernel call.
+        grid_at, grids = pain._grid_at, []
+
+        def record(index, *line):
+            grids.append(len(index))
+            return grid_at(index, *line)
+
+        monkeypatch.setattr(pain, "_grid_at", record)
+        calls = self.kernel_calls(monkeypatch)
+        pain._solve(0.07, 0.86, 0.0, 0.07, 12 / 70, 3, np.array([0.5]), 10001)
+        assert len(calls) == len(grids) == 1
 
     @pytest.mark.parametrize("grid_points", [101, 10001])
     @pytest.mark.parametrize("target", [0.2, 0.5, 0.8])
@@ -389,8 +426,48 @@ class TestSolveMatchesReference:
         assert len(points) / solves <= 1.25
 
 
+def float_score(u, v, j, p, lam, blind=False):
+    """The score at joint degree ``j`` in plain floats, each norm scaled by its largest term."""
+    h = 0.0 if blind else abs(1.0 - u - v + j)
+
+    def distance(x1, x2):
+        terms = (x1, x2, j, h)
+        top = max(terms)
+        norm = top * sum((x / top) ** p for x in terms) ** (1.0 / p) if top else 0.0
+        return lam * norm + (1.0 - lam) * max(x1, x2)
+
+    d_worst = distance(abs(u - j), abs(v - j - 1.0))
+    d_best = distance(abs(u - j - 1.0), abs(v - j))
+    return d_worst / (d_worst + d_best)
+
+
+def least_gap(u, v, target, p, lam, blind):
+    """The least ``|target - s(j)|`` over ``joint_bounds(u, v)``, by bisection on s(j) = target.
+
+    s is monotone in j (the lemma in ``pain._scan``), so the least gap is at
+    a bound unless the target lies between the scores there; then it is at
+    the root, which bisection brackets down to adjacent floats.
+    """
+    lo, hi = joint_bounds(u, v)
+
+    def score(j):
+        return float_score(u, v, j, p, lam, blind)
+
+    s_lo, s_hi = score(lo), score(hi)
+    gaps = [abs(target - s_lo), abs(target - s_hi)]
+    if min(s_lo, s_hi) < target < max(s_lo, s_hi):
+        rising = s_hi > s_lo
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if (score(mid) < target) == rising:
+                lo = mid
+            else:
+                hi = mid
+        gaps += [abs(target - score(lo)), abs(target - score(hi))]
+    return min(gaps)
+
+
 class TestExactOptimum:
-    """The solver against the exact optimum, where the score has a closed form.
+    """The solver against the exact optimum, from a closed form or by bisection.
 
     At p = 1 without ``blind``, and at Chebyshev both ways, ``s(j) = (1 - v +
     j) / (2 - u - v + 2 j)`` for every lambda (the lemma in ``pain._scan``),
@@ -405,6 +482,14 @@ class TestExactOptimum:
     is within REFINE_TOL / 4 of the optimum's j, and ``|ds/dj| = |v - u| /
     (2 - u - v + 2 j)**2 <= 1``.  Rounding adds a few ulps.  The largest
     excess measured on 6,000 solves is 1.4e-9.
+
+    At p >= 2 the least gap comes from ``least_gap``, which bisects s(j) =
+    target on ``float_score``, within an ulp or two of the kernels' score.
+    Each of the four terms moves at rate 1 in j, so each distance moves at
+    most ``4**(1/p) <= 2`` times as fast and ``|ds/dj| <= 2 / (d_w + d_b) <=
+    2``: the gap exceeds the least one by at most ``2 * REFINE_TOL / 4``,
+    plus rounding.  The largest excess measured on 3,000 solves at p 2..10
+    and 64 is 1.4e-9.
     """
 
     @pytest.mark.parametrize("code, blind", [(1, False), (0, False), (0, True)])
@@ -426,6 +511,23 @@ class TestExactOptimum:
         inside = min(ends) <= target <= max(ends)
         least = 0.0 if inside else min(abs(target - s) for s in ends)
         assert np.abs(target - s_opt).max() <= least + 5e-9
+
+    @pytest.mark.parametrize("blind", [False, True])
+    @pytest.mark.parametrize("p", [*range(2, 11), 64])
+    @settings(max_examples=20, deadline=None)
+    @given(uv=similarity_pairs(), target=st.floats(0.0, 1.0), lams=lambda_lists(),
+           grid_points=st.sampled_from([101, 2049, 10001]))
+    @example(uv=(0.07, 0.86), target=reference_score(0.07, 0.86, 0.03, 3, 0.5),
+             lams=np.array([0.5]), grid_points=10001)
+    @example(uv=NEAR_BEST, target=0.99999, lams=np.linspace(0.0, 1.0, 11), grid_points=2049)
+    @example(uv=(0.3, 0.3 + 1e-12), target=0.5, lams=np.array([0.0, 1.0]), grid_points=101)
+    def test_gap_is_least_by_bisection(self, p, blind, uv, target, lams, grid_points):
+        u, v = uv
+        j_lo, j_hi = joint_bounds(u, v)
+        _, s_opt = pain._solve(u, v, j_lo, j_hi, target, p, lams, grid_points, blind)
+        for lam, s in zip(lams.tolist(), s_opt.tolist()):
+            least = least_gap(u, v, target, p, lam, blind)
+            assert abs(target - s) <= least + REFINE_TOL / 2 + 1e-12
 
 
 # Widths down to the smallest subnormal, whose step underflows to 0.
@@ -468,6 +570,34 @@ class TestGridScan:
         stop = min(1.0, start + width)
         got = pain._grid_at(np.arange(grid_points), start, stop, grid_points)
         assert got.tobytes() == np.linspace(start, stop, grid_points).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(start=st.floats(0.0, 1.0), width=WIDTHS,
+           grid_points=st.sampled_from([101, 2049, 10001]))
+    @example(start=0.0, width=5e-324, grid_points=10001)
+    @example(start=0.3, width=1e-16, grid_points=2049)
+    @example(start=0.2991984594656607, width=1.1102230246251565e-16, grid_points=10001)
+    def test_point_is_grid_at(self, start, width, grid_points):
+        # pain._point is _grid_at of one index in Python floats, bit for bit,
+        # the last index (stop) and steps that underflow included.
+        stop = min(1.0, start + width)
+        want = pain._grid_at(np.arange(grid_points), start, stop, grid_points)
+        got = [pain._point(i, start, stop, grid_points) for i in range(grid_points)]
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == want.tobytes()
+
+    def test_layout_is_built_once_per_grid_size(self):
+        pain._layout.cache_clear()
+        args = (0.07, 0.86, 0.0, 0.07, 12 / 70, 3, np.array([0.5]), 4097)
+        pain._solve(*args)
+        built = pain._layout.cache_info()
+        pain._solve(*args)
+        again = pain._layout.cache_info()
+        assert (built.misses, again.misses, again.hits - built.hits) == (1, 1, 1)
+        for array in pain._layout(4097):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
 
     # Optima on j_hi for 1 and for 21 lambdas, where the scan's first call
     # prunes every block it has not scored, and all ties (u == v at lambda =
