@@ -4,8 +4,9 @@ Subcommands: distance, score, simulate, pain-eval, sweep, export-figures.
 Plain output prints numbers with six decimals; CSV and JSON carry full
 precision.  Data goes to stdout or --out; errors go to stderr as one JSON
 line, ``{"error", "message"}``, plus ``where`` where the place at fault is
-known (the file, and for a batch row its line and its field or CFN); the
-process exits nonzero on failure.
+known (the file, and for a batch row its line and its field or CFN, for a
+``pain-eval --input`` file the JSON line or key at fault); the process exits
+nonzero on failure.
 
 Each runner imports the modules its command needs, so ``distance`` loads
 only ``cfn``, ``distance``, ``backends`` and ``errors`` of cfkit.
@@ -260,6 +261,9 @@ def _csv_blocks(path, lines, skip, rows, measure, params):
         _block_rows(path, values, line_nums)
         line = skip + reader.line_num
         raise _located(ValueError, f"{path} line {line}: {exc}", file=path, line=line) from exc
+    except UnicodeDecodeError as exc:  # the decoder reads ahead, so no line is known
+        exc.where = {"file": path}
+        raise
     if line_nums:
         yield _distance_lines(measure, params, *_block_rows(path, values, line_nums))
 
@@ -329,7 +333,15 @@ def _run_pain_eval(args) -> int:
         from .pain import assessment_from_dict
 
         with open(args.input) as fh:
-            assessment, params = assessment_from_dict(json.load(fh))
+            try:
+                assessment, params = assessment_from_dict(json.load(fh))
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+                exc.where = {"file": args.input}
+                if isinstance(exc, json.JSONDecodeError):
+                    exc.where["line"] = exc.lineno
+                if hasattr(exc, "field"):
+                    exc.where["field"] = exc.field
+                raise
         u, v = assessment.sim_to_scale0, assessment.sim_to_scale10
         patient_pain = assessment.patient_pain
     else:

@@ -17,19 +17,21 @@ parts of both anchors as one leading axis, one ``combine`` mixes them for a
 column of all lambdas or for one lambda per point, ``ratio`` gives the
 scores, and ``np.square`` of their gap to the target the objectives.  The
 grid scan returns the full scan's argmin bit for bit but scores only what
-could hold it: every ``_SPAN``-th grid point and the last one, with the
-whole first and last block between them, first; then the interior of another
-block only where the scores at its two endpoints, between which the score is
-monotone, could reach the best objective of some lambda, and whose two
-endpoints differ in ``j`` (see ``_scan``).  It scores those kept points at
-most ``_BLOCK`` per kernel call.  The refinement
-has one rule: each bracket's ternary steps are laid out along a path
-predicted toward a point, scored in one call, and walked on the scores, and
-where a step goes against the prediction the rest is predicted again (see
+could hold it: grid points 0 and last and the block endpoints between them
+first, which are grid points 1 and last - 1 and every ``_SPAN``-th grid
+point between.  The score is monotone along the grid, so where the scores
+at grid points 1 and last - 1 cannot reach the best objective of any
+lambda, the scan is done.  Else it scores the interior of a block only
+where the scores at its two endpoints could reach the best objective of
+some lambda, and where its two endpoints differ in ``j`` (see ``_scan``),
+at most ``_BLOCK`` kept points per kernel call.  The refinement has one
+rule: each bracket's ternary steps are laid out along a path predicted
+toward a point, scored in one call, and walked on the scores, and where a
+step goes against the prediction the rest is predicted again (see
 ``_solve``).  Most answers sit on a bound of the grid, whose paths toward
 the bound are known before anything is scored, so most solves make one
-kernel call: the endpoints, the two end blocks and those paths.  Around
-that call the solve keeps its bookkeeping in Python floats.
+kernel call: the first points of the scan and those paths.  Around that
+call the solve keeps its bookkeeping in Python floats.
 ``solve_programming1`` is the one-lambda case, ``sensitivity_sweep`` solves
 once per order over the whole lambda grid, and ``legacy_comparison_sweep``
 scores rows with their hesitancy dropped at lambda = 1, which is the
@@ -39,6 +41,7 @@ hesitancy-blind Minkowski score.
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -60,27 +63,28 @@ RECOMMEND_SECOND_NURSE = "second_nurse_suggested"
 DEFAULT_CONFUSION_THRESHOLD = 0.9
 DEFAULT_GRID_POINTS = 10001
 REFINE_TOL = 1e-8
-# Grid points per pruning block of the grid scan (see ``_scan``); a
-# 10001-point grid has 158 endpoints.  On two clinic streams, spans of 32, 64
-# and 128 score 4.0-4.5%, 2.8-3.3% and 2.7-3.2% of the grid in the scan, and
-# cost the same per solve within the host's noise.  The scan needs two blocks
-# or more, so the span stays under 100: every grid has at least 101 points.
-_SPAN = 64
-# Kept grid points per kernel call of the grid scan.  A (6, 2048) term array
-# is 96 KiB and an (anchor, lambda) row of 2048 distances or scores 16 KiB,
-# under glibc's 128 KiB mmap threshold, so a one-lambda call's arrays come
-# from the heap and are reused by the next call.  Larger arrays are mapped,
-# freed and faulted back in every solve that keeps that many points: on two
-# 600-solve clinic-like streams, minor faults per solve were 0.3-0.4 with
-# 2048-point calls, 6-8 with 4096 and 9-13 with one call for all kept points.
+# Grid points per pruning block of the grid scan (see ``_layout`` and
+# ``_scan``); a 10001-point grid has 80 block endpoints.  A smaller span
+# scores more endpoints in every solve's first call, a larger one more points
+# per kept block: an interval a few ulps wide, where only the blocks in which
+# the grid's j changes are kept, scored 345 points at 128 and over 500 at 256.
+_SPAN = 128
+# Kept grid points per kernel call of the grid scan, past its first call.  A
+# (6, 2048) term array is 96 KiB and an (anchor, lambda) row of 2048
+# distances or scores 16 KiB, under glibc's 128 KiB mmap threshold, so a
+# one-lambda call's arrays come from the heap and are reused by the next
+# call.  Larger arrays are mapped, freed and faulted back in every solve that
+# keeps that many points: on two 600-solve clinic-like streams, minor faults
+# per solve were 0.3-0.4 with 2048-point calls, 6-8 with 4096 and 9-13 with
+# one call for all kept points.
 # The bound holds per (anchor, lambda) row: an anchor's (21, 2048) arrays in a
 # sweep are 336 KiB, and a sweep whose scans keep every block faults about
 # 5,000 times.
 _BLOCK = 2048
-_INTERIOR = np.arange(1, _SPAN)  # a block's interior, from its first endpoint
-# Absolute widening of the hull of a pruning block's two endpoint scores,
-# which bounds its interior scores.  The exact score is monotone along the
-# grid, and a computed one is within 2e-14 of it (see ``_scan``).
+# Absolute widening of the hull of two scores of the grid scan, at grid
+# points 1 and last - 1 or at a pruning block's endpoints, which bounds the
+# scores between them.  The exact score is monotone along the grid, and a
+# computed one is within 2e-14 of it (see ``_scan``).
 _SLACK = 1e-12
 
 
@@ -123,20 +127,52 @@ class PainAssessment:
         return self._pain
 
 
-def assessment_from_dict(data: dict) -> tuple[PainAssessment, DistanceParams]:
-    """Read the assessment-input JSON object."""
+@contextmanager
+def _field(key: str):
+    """Set ``field``, the JSON key ``key``, on an error that a value of the input raises.
+
+    A value of the wrong JSON type, such as ``null`` for a number, raises a
+    ValueError with the TypeError's message.
+    """
     try:
-        assessment = PainAssessment(
-            patient_items=tuple(data["patient_items"]),
-            sim_to_scale0=data["sim_scale0"],
-            sim_to_scale10=data["sim_scale10"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"missing key {exc} in assessment object") from exc
-    p = data.get("p", 2)
-    if isinstance(p, str):
-        p = parse_order(p)
-    params = DistanceParams(p=p, lam=data.get("lambda", 0.5))
+        yield
+    except ValueError as exc:
+        exc.field = key
+        raise
+    except TypeError as exc:
+        error = ValueError(str(exc))
+        error.field = key
+        raise error from exc
+
+
+def assessment_from_dict(data: dict) -> tuple[PainAssessment, DistanceParams]:
+    """Read the assessment-input JSON object.
+
+    An error that a value, or a missing key, raises carries its JSON key as
+    ``field``.  The values are checked in the order in which
+    ``PainAssessment`` and ``DistanceParams`` check them, so the first error
+    is theirs.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"assessment input must be a JSON object, got {type(data).__name__}")
+    for key in ("patient_items", "sim_scale0", "sim_scale10"):
+        if key not in data:
+            with _field(key):
+                raise ValueError(f"missing key {key!r} in assessment object")
+    with _field("patient_items"):
+        items = tuple(data["patient_items"])
+        normalize_patient_score(items)
+    for key, name in (("sim_scale0", "sim_to_scale0"), ("sim_scale10", "sim_to_scale10")):
+        with _field(key):
+            _check_unit(data[key], name)
+    assessment = PainAssessment(items, data["sim_scale0"], data["sim_scale10"])
+    with _field("p"):
+        p = data.get("p", 2)
+        if isinstance(p, str):
+            p = parse_order(p)
+        order_code(p)
+    with _field("lambda"):
+        params = DistanceParams(p=p, lam=data.get("lambda", 0.5))
     return assessment, params
 
 
@@ -163,7 +199,9 @@ def _grid_at(index, start: float, stop: float, grid_points: int) -> np.ndarray:
     """``np.linspace(start, stop, grid_points)[index]``, by linspace's own operations.
 
     Only the points at the integer array ``index`` are computed, so a solve
-    never fills the whole grid.
+    never fills the whole grid.  ``index`` is non-empty and ascending, so
+    only its last entry can be the last grid index, where linspace writes
+    ``stop``.
     """
     div = grid_points - 1
     delta = stop - start
@@ -171,7 +209,8 @@ def _grid_at(index, start: float, stop: float, grid_points: int) -> np.ndarray:
     # linspace's order for a width so small that its step underflows
     out = index / div * delta if step == 0.0 else index * step
     out += start
-    out[index == div] = stop
+    if index[-1] == div:
+        out[-1] = stop
     return out
 
 
@@ -189,16 +228,17 @@ def _point(i: int, start: float, stop: float, grid_points: int) -> float:
 def _layout(grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     """``_scan``'s block endpoints and the grid indices of its first kernel call.
 
-    The endpoints are every ``_SPAN``-th grid index, then the last one.  The
-    first call's indices are the first block, the endpoints between, then
-    the last block, in grid order.  Both depend on the grid size alone, so
-    they are built once per size and made read-only.
+    With ``last = grid_points - 1``, the endpoints ``ends`` are grid index
+    1, every multiple of ``_SPAN`` strictly between 1 and ``last - 1``, then
+    ``last - 1``.  A block is a pair of consecutive endpoints ``(a, b)``, and
+    its interior the indices ``a + 1 .. b - 1``; the last block may be
+    shorter than the others, or have no interior.  The first call's indices
+    are ``[0, *ends, last]``, in grid order.  Both depend on the grid size
+    alone, so they are built once per size and made read-only.
     """
-    ends = np.arange(0, grid_points + _SPAN - 1, _SPAN)
-    ends[-1] = grid_points - 1
-    index = np.concatenate(
-        [np.arange(ends[1]), ends[1:-1], np.arange(ends[-2] + 1, grid_points)]
-    )
+    last = grid_points - 1
+    ends = np.concatenate([[1], np.arange(_SPAN, last - 1, _SPAN), [last - 1]])
+    index = np.concatenate([[0], ends, [last]])
     ends.flags.writeable = index.flags.writeable = False
     return ends, index
 
@@ -222,11 +262,11 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     answers sit, and their paths toward the bound are known before anything
     is scored, so the scan's first kernel call scores those paths with the
     block endpoints, for every lambda.  A solve whose walk reaches the end of
-    its path and whose scan prunes every block that its first call did not
-    score makes one kernel call in all.  Each later round scores every live
-    bracket's path in one call, with one lambda per point.  The kernels are
-    elementwise and every objective is ``np.square`` of the gap, so a point
-    has the same bits in whichever call, under however many lambdas.
+    its path and whose scan prunes every block makes one kernel call in all.
+    Each later round scores every live bracket's path in one call, with one
+    lambda per point.  The kernels are elementwise and every objective is
+    ``np.square`` of the gap, so a point has the same bits in whichever
+    call, under however many lambdas.
     ``blind`` zeroes the hesitancy: with lambda = 1 that is the
     hesitancy-blind Minkowski score, bit for bit.
 
@@ -311,30 +351,37 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
     lambda, the grid index, ``j``, score and objective of the argmin, the
     same bits as ``_grid_at`` of that index and its scoring, then the
     ``(len(lams), len(extra))`` objectives and scores of the list of points
-    ``extra``.  The grid splits into blocks of ``_SPAN`` points between
-    endpoints (see ``_layout``).  The first kernel call scores, for every
-    lambda, the endpoints, the whole first and last block, where most optima
-    lie, and ``extra``.  The score is monotone in ``j`` along the line (the
-    lemma below), so every interior score of another block lies in the hull
-    of its two endpoint scores, widened by ``_SLACK`` for rounding.  Only the
-    blocks whose lower bound on the objective, the squared distance from the
-    target to that interval, is at most the best objective of some lambda in
-    the first call are scored.  The argmin over all scored points, first in
-    grid order on a tie, is the full scan's bit for bit, since every pruned
-    point's objective exceeds that best one and so neither wins nor ties.
+    ``extra``.  The grid splits into blocks between endpoints (see
+    ``_layout``).  The first kernel call scores, for every lambda, grid
+    points 0 and ``last``, where most optima lie, the endpoints between
+    them, and ``extra``.  The score is monotone in ``j`` along the line (the
+    lemma below), so every score at grid points ``1 .. last - 1`` lies in
+    the hull of the scores at 1 and ``last - 1``, and every interior score
+    of a block in the hull of its two endpoint scores, each widened by
+    ``_SLACK`` for rounding.  A lower bound on the objective over such a
+    hull is the squared distance from the target to it.
+
+    Where that bound over the whole range exceeds the best objective of
+    every lambda in the first call, the scan is done after that call: a
+    Python-float loop over the lambdas decides it, with the IEEE operations
+    of the per-block test, and stops at the first lambda that could reach.
+    Else the scan scores only the blocks that ``_kept_blocks`` keeps: those
+    whose own bound is at most the best objective of some lambda.  The
+    argmin over all scored points, first in grid order on a tie, is the full
+    scan's bit for bit, since every pruned point's objective exceeds that
+    best one and so neither wins nor ties.
 
     Of the blocks that bound keeps, a block whose two endpoints have the
     same ``j`` is pruned too, as where an interval a few ulps wide has few
-    distinct grid points.  The grid is monotone inside the blocks between
-    the first and the last, where ``stop`` does not replace a point, since
-    every operation of ``_grid_at`` rounds monotonically.  So equal endpoints
-    give every point of the block that ``j``, and so the same terms, score
-    and objective as its first endpoint, which comes earlier in grid order
-    and was scored in the first call: none of them can be the first of the
-    least.  Equal includes -0.0 and 0.0, which give the same terms: each
-    term is the absolute value of ``j`` or of a sum or difference with
-    ``j``, and those differ at most in the sign of a zero.  The check runs
-    only where some block is kept, so a one-call solve does not pay for it.
+    distinct grid points.  Every operation of ``_grid_at`` rounds
+    monotonically and only ``last`` is replaced by ``stop``, so the grid is
+    monotone over ``1 .. last - 1``, which holds every block.  So equal
+    endpoints give every point of the block that ``j``, and so the same
+    terms, score and objective as its first endpoint, which comes earlier in
+    grid order and was scored in the first call: none of them can be the
+    first of the least.  Equal includes -0.0 and 0.0, which give the same
+    terms: each term is the absolute value of ``j`` or of a sum or
+    difference with ``j``, and those differ at most in the sign of a zero.
 
     The lemma: along the admissible line the exact score ``s(j) = d_w / (d_w
     + d_b)`` is non-decreasing in ``j`` where ``u < v``, non-increasing where
@@ -391,9 +438,12 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
     - An absolute error in ``d_w`` or ``d_b`` moves ``s`` by at most as
       much: both partial derivatives are at most ``1 / (d_w + d_b)``, and
       ``d_w + d_b >= d(worst, best) >= 1`` by the triangle inequality.  So
-      each computed score is within 2e-14 of the exact one, an interior
-      score within 4e-14 of the hull of its block's computed endpoint
-      scores, and ``_SLACK`` covers that 25 times over.
+      each computed score is within 2e-14 of the exact one.  The computed
+      grid is monotone over ``1 .. last - 1`` and the exact score monotone
+      along it, so every computed score there is within 4e-14 of the hull
+      of the computed scores at 1 and ``last - 1``, and an interior score
+      within as much of the hull of its block's computed endpoint scores.
+      ``_SLACK`` covers that 25 times over.
     - Past the scores, rounding is monotone: ``s >= s_lo`` gives
       ``fl(s - target) >= fl(s_lo - target)``, and ``np.square`` of a
       rounded difference is monotone in its size, so no pruned point's
@@ -401,11 +451,11 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
 
     A zero-width interval (``flat``) has one j, and scores one point and
     ``extra``.  The first call lays its grid points out in grid order, by
-    the layout cached for the grid size.  The kept interiors are the kept
-    blocks' first endpoints plus ``_INTERIOR``, scored at most ``_BLOCK``
-    points per kernel call.  Each call scores its points as a ``(1, n)`` row
-    against the column of all lambdas, with one ``combine``; each lambda's
-    argmin follows the same rule: first in grid order on a tie.
+    the layout cached for the grid size.  The kept interiors are scored at
+    most ``_BLOCK`` points per kernel call.  Each call scores its points as
+    a ``(1, n)`` row against the column of all lambdas, with one
+    ``combine``; each lambda's argmin follows the same rule: first in grid
+    order on a tie.
     """
     ends, index = _layout(line[2])
     if flat:
@@ -421,19 +471,19 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
     if flat:
         return k, j_opt, s_opt, best, obj_extra, s_extra
 
-    # the scores at ends[1:-1], in the first call from column ends[1] on,
-    # bound the interiors of the blocks between them
-    bounds = s[:, ends[1]:ends[1] + len(ends) - 2]
-    left, right = bounds[:, :-1], bounds[:, 1:]
-    s_lo = np.minimum(left, right) - _SLACK
-    s_hi = np.maximum(left, right) + _SLACK
-    gap = np.maximum(np.maximum(s_lo - target, target - s_hi), 0.0)
-    keep = (np.square(gap) <= best[:, None]).any(0)
+    # the whole range: the hull of the scores at grid points 1 and last - 1
+    for x, y, o in zip(s[:, 1].tolist(), s[:, n - 2].tolist(), best.tolist()):
+        g = max(min(x, y) - _SLACK - target, target - (max(x, y) + _SLACK), 0.0)
+        if g * g <= o:
+            break
+    else:
+        return k, j_opt, s_opt, best, obj_extra, s_extra
+
+    # the endpoints, columns 1 .. n - 2 of the first call
+    keep = _kept_blocks(s[:, 1:n - 1], j[1:n - 1], target, best)
     if keep.any():
-        # a block whose endpoints have the same j has that j throughout
-        j_ends = j[ends[1]:ends[1] + len(ends) - 2]
-        keep &= j_ends[:-1] != j_ends[1:]
-        index = (ends[1:-2][keep, None] + _INTERIOR).ravel()
+        pairs = zip(ends[:-1][keep].tolist(), ends[1:][keep].tolist())
+        index = np.concatenate([np.arange(a + 1, b) for a, b in pairs])
         for b in range(0, len(index), _BLOCK):
             chunk = index[b:b + _BLOCK]
             j = _grid_at(chunk, *line)
@@ -447,6 +497,22 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
                 np.copyto(s_opt, s[rows, m], where=win)
                 np.copyto(best, o, where=win)
     return k, j_opt, s_opt, best, obj_extra, s_extra
+
+
+def _kept_blocks(s_ends, j_ends, target, best) -> np.ndarray:
+    """Which blocks ``_scan`` scores, from the ``(len(lams), len(ends))`` scores at its endpoints.
+
+    ``j_ends`` holds the endpoints' ``j`` and ``best`` each lambda's best
+    objective so far.  A block is kept where the squared distance from the
+    target to the hull of its two endpoint scores, widened by ``_SLACK``, is
+    at most the best objective of some lambda, and its two endpoints differ
+    in ``j`` (see ``_scan``).
+    """
+    left, right = s_ends[:, :-1], s_ends[:, 1:]
+    s_lo = np.minimum(left, right) - _SLACK
+    s_hi = np.maximum(left, right) + _SLACK
+    gap = np.maximum(np.maximum(s_lo - target, target - s_hi), 0.0)
+    return (np.square(gap) <= best[:, None]).any(0) & (j_ends[:-1] != j_ends[1:])
 
 
 def _path(l, h, toward) -> tuple[list, list, list]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cfkit.cli import _BLOCK, main
+from cfkit.pain import assessment_from_dict
 
 from helpers import random_triples
 
@@ -204,6 +205,17 @@ class TestDistanceCommand:
         assert list(payload) == ["error", "message", "where"]
         assert payload["where"] == {"file": str(batch), **where}
 
+    @pytest.mark.parametrize("lines", [1, 9000], ids=["first-block", "after-first-block"])
+    def test_batch_not_text_where(self, capsys, tmp_path, lines):
+        # A file that is not UTF-8 text: the decoder does not say which line.
+        batch = tmp_path / "pairs.csv"
+        batch.write_bytes(b"0.3,0.2,0.1,1,0,0\n" * lines + b"0.8,\xff\n")
+        code, _, err = run(capsys, "distance", "--measure", "c", "--batch", str(batch))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "UnicodeDecodeError"
+        assert payload["where"] == {"file": str(batch)}
+
     def test_missing_file_where(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.csv")
         code, _, err = run(capsys, "distance", "--measure", "c", "--batch", missing)
@@ -369,9 +381,102 @@ class TestPainEvalCommand:
         assert all(row["lambda"] == "" for row in rows)
 
     def test_requires_input_without_sweep(self, capsys):
+        # No place is at fault, so the error has no "where".
         code, _, err = run(capsys, "pain-eval")
         assert code == 1
-        assert json.loads(err)["error"] == "ValueError"
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "pain-eval needs --input FILE.json (or --sweep/--legacy-sweep)",
+        }
+
+    @pytest.mark.parametrize(
+        "change,field",
+        [
+            ({"sim_scale10": 1.7}, "sim_scale10"),
+            ({"sim_scale0": "abc"}, "sim_scale0"),
+            ({"patient_items": [4, 4, 4]}, "patient_items"),
+            ({"patient_items": [4, 4, 4, 4, 4, 4, 11]}, "patient_items"),
+            ({"p": 65}, "p"),
+            ({"p": "x"}, "p"),
+            ({"lambda": 1.5}, "lambda"),
+            # both bad: the first checked is named, as in the message
+            ({"sim_scale0": -1, "lambda": 2}, "sim_scale0"),
+        ],
+    )
+    def test_input_error_names_its_field(self, capsys, tmp_path, change, field):
+        # The JSON error adds the file and the key of the value at fault to
+        # the library's own error and message.
+        data = {**self.CASE, **change}
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as raised:
+            assessment_from_dict(data)
+        code, _, err = run(capsys, "pain-eval", "--input", str(path))
+        assert code == 1
+        assert json.loads(err) == {
+            "error": type(raised.value).__name__,
+            "message": str(raised.value),
+            "where": {"file": str(path), "field": field},
+        }
+
+    @pytest.mark.parametrize("key", ["patient_items", "sim_scale0", "sim_scale10"])
+    def test_input_missing_key_names_it(self, capsys, tmp_path, key):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({k: x for k, x in self.CASE.items() if k != key}))
+        code, _, err = run(capsys, "pain-eval", "--input", str(path))
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"missing key '{key}' in assessment object",
+            "where": {"file": str(path), "field": key},
+        }
+
+    @pytest.mark.parametrize(
+        "change,field",
+        [({"sim_scale0": None}, "sim_scale0"), ({"patient_items": 5}, "patient_items"),
+         ({"lambda": [0.5]}, "lambda")],
+    )
+    def test_input_value_of_wrong_type(self, capsys, tmp_path, change, field):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({**self.CASE, **change}))
+        code, _, err = run(capsys, "pain-eval", "--input", str(path))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["where"] == {"file": str(path), "field": field}
+
+    def test_input_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text("[0.4, 0.7]")
+        code, _, err = run(capsys, "pain-eval", "--input", str(path))
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "assessment input must be a JSON object, got list",
+            "where": {"file": str(path)},
+        }
+
+    def test_input_json_error_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text('{\n  "p": 2,\n  "lambda":\n}\n')
+        with pytest.raises(json.JSONDecodeError) as raised:
+            json.loads(path.read_text())
+        code, _, err = run(capsys, "pain-eval", "--input", str(path))
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "JSONDecodeError",
+            "message": str(raised.value),
+            "where": {"file": str(path), "line": 4},
+        }
+
+    def test_input_not_text(self, capsys, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_bytes(b'{"p": "\xff"}')
+        code, _, err = run(capsys, "pain-eval", "--input", str(path))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "UnicodeDecodeError"
+        assert payload["where"] == {"file": str(path)}
 
     def test_unreadable_input(self, capsys, tmp_path):
         code, _, err = run(capsys, "pain-eval", "--input", str(tmp_path / "missing.json"))

@@ -191,9 +191,13 @@ class TestScoreAlongLine:
 
 
 class TestSolveMatchesReference:
-    # 129, 130 and 131 are 64 m + 1, + 2 and + 3 points: the last pruning
-    # block is full, has no interior, or has a one-point interior.
-    @pytest.mark.parametrize("grid_points", [101, 129, 130, 131, 2047, 2048, 2049, 4097, 10001])
+    # At 101 to 130 points the grid has one pruning block.  At 257,
+    # 258, 259 and 260 points, last - 1 is one below, at, one above and two
+    # above 2 * pain._SPAN: the last block is short, full, has no interior,
+    # or has a one-point interior.
+    @pytest.mark.parametrize(
+        "grid_points", [101, 129, 130, 131, 257, 258, 259, 260, 2047, 2048, 2049, 4097, 10001]
+    )
     @settings(max_examples=15, deadline=None)
     @given(uv=similarity_pairs(), target=st.floats(0.0, 1.0), p=ORDERS,
            lams=lambda_lists(), blind=st.booleans())
@@ -297,19 +301,51 @@ class TestSolveMatchesReference:
         calls.clear()
         j_opt, _ = pain._solve(*args)
         assert j_opt.tolist() == [0.07]  # j_hi, the last grid point
-        # The one call scores the block endpoints, the interiors of the first
-        # and the last block, and both end brackets' paths toward their
-        # bounds with their final checks.  The hull of the endpoint scores
-        # prunes every other block, and the walk toward j_hi takes every step
-        # of its path and reads its final check from that call, so nothing
-        # else is scored.
+        # The one call scores grid points 0 and last, the block endpoints
+        # between them, and both end brackets' paths toward their bounds
+        # with their final checks.  The hull of the scores at grid points 1
+        # and last - 1 prunes every block at once, and the walk toward j_hi
+        # takes every step of its path and reads its final check from that
+        # call, so nothing else is scored.
         g = pain._grid_at(np.array([0, 1, grid_points - 2, grid_points - 1]), *line).tolist()
         lower, upper = pain._path(g[0], g[1], g[0]), pain._path(g[2], g[3], g[3])
         assert upper[1] == [False] * steps and steps > 10
         assert lower[1] == [True] * len(lower[1])
-        blocks = -(-(grid_points - 1) // pain._SPAN)
-        last = grid_points - 2 - (blocks - 1) * pain._SPAN  # the last block's interior
-        assert calls == [blocks + 1 + pain._SPAN - 1 + last + len(lower[0]) + len(upper[0])]
+        # grid points 0, 1, last - 1 and last, and the 78 multiples of the span between
+        points = 4 + (grid_points - 3) // pain._SPAN
+        assert len(pain._layout(grid_points)[1]) == points
+        assert calls == [points + len(lower[0]) + len(upper[0])]
+
+    @pytest.mark.parametrize("uv, target, lams, pruned", [
+        # optima on j_hi and on j_lo, for 1 and for 21 lambdas
+        ((0.07, 0.86), 12 / 70, np.array([0.5]), True),
+        ((0.1, 0.9), 12 / 70, np.linspace(0.0, 1.0, 21), True),
+        ((0.07, 0.86), 0.9, np.array([0.0, 1.0]), True),
+        # an interior optimum, one inside the first block, and 21 lambdas
+        # whose optima spread over the interval
+        ((0.07, 0.86), reference_score(0.07, 0.86, 0.03, 3, 0.5), np.array([0.5]), False),
+        ((0.07, 0.86), reference_score(0.07, 0.86, 1e-3 * 0.07, 3, 0.5), np.array([0.5]), False),
+        ((0.07, 0.34), 0.43, np.linspace(0.0, 1.0, 21), False),
+    ])
+    def test_whole_range_check_skips_the_block_prune(self, uv, target, lams, pruned,
+                                                     monkeypatch):
+        # Where no lambda can reach the hull of the scores at grid points 1
+        # and last - 1, the scan returns after its first call without the
+        # per-block prune; where one can, the per-block prune decides.
+        kept, kept_blocks = [], pain._kept_blocks
+
+        def record(*args):
+            kept.append(kept_blocks(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(pain, "_kept_blocks", record)
+        u, v = uv
+        args = (u, v, *joint_bounds(u, v), target, 3, lams, 10001)
+        got = pain._solve(*args)
+        assert [x.tolist() for x in got] == [x.tolist() for x in reference_solve(*args)]
+        assert len(kept) == (0 if pruned else 1)
+        if not pruned:
+            assert 0 < kept[0].sum() < len(pain._layout(10001)[0]) - 1
 
     def test_interior_optimum_refines_in_few_calls(self, monkeypatch):
         # The optimum at j = 0.03 is inside the grid.  After the scan's two
@@ -333,9 +369,9 @@ class TestSolveMatchesReference:
     def test_ulps_wide_interval_prunes_equal_j_blocks(self, lam, target, monkeypatch):
         # Every score of the grid ties within pain._SLACK, so the hull of a
         # block's endpoint scores prunes nothing.  A block whose endpoints
-        # have the same j is pruned all the same: only the one block where
-        # the grid's j changes is scored after the first call, then at most
-        # one final check.  Scoring every kept block would take 6 or 7 calls
+        # have the same j is pruned all the same: only the two blocks where
+        # the grid's j changes are scored after the first call, then at most
+        # one final check (345 points at most).  Scoring every kept block would take 6 or 7 calls
         # and 10,007 points or more.
         calls = self.kernel_calls(monkeypatch)
         u, v = ULPS_WIDE
@@ -406,8 +442,9 @@ class TestSolveMatchesReference:
         return points
 
     def test_scan_prunes_clinic_grids(self, monkeypatch):
-        # Clinic-like assessments score 4.5% of their grids, spine paths and
-        # refinement included: a scan that fell back to scoring every grid
+        # Clinic-like assessments score 1.6% of their grids (3.0% when the
+        # first call also scored the whole first and last block), end paths
+        # and refinement included: a scan that fell back to scoring every grid
         # point would score over 16 times the bound.
         solves = 200
         points = self.clinic_solves(monkeypatch, solves)
@@ -415,9 +452,9 @@ class TestSolveMatchesReference:
 
     def test_clinic_solves_make_few_kernel_calls(self, monkeypatch):
         # Most clinic answers sit on a bound of the grid and take one call,
-        # which scores the block endpoints, the first and the last block and
-        # both end paths with their final checks; interior optima take about
-        # four (1.165 calls per solve on this stream, 1.28 with a depth-5
+        # which scores grid points 0 and last, the block endpoints between
+        # and both end paths with their final checks; interior optima take
+        # two to four (1.105 calls per solve on this stream, 1.28 with a depth-5
         # tree of ternary steps per call for them).  A scan that also scored
         # the interiors of every block its endpoints could not prune would
         # make about 2.3.
@@ -537,6 +574,16 @@ WIDTHS = st.one_of(
     st.floats(0.0, 1.0),
 )
 
+@st.composite
+def ascending_indices(draw):
+    """A grid size and a non-empty ascending array of its indices, with or without the last."""
+    grid_points = draw(st.sampled_from([101, 2049, 10001]))
+    last = grid_points - 1
+    with_last = draw(st.booleans())
+    picked = draw(st.sets(st.integers(0, last - 1), min_size=0 if with_last else 1, max_size=300))
+    return grid_points, np.array(sorted(picked | ({last} if with_last else set())))
+
+
 # Minor page faults per solve over 400 solves that follow 40 warm-up ones.
 # Each step pairs a solve whose scan keeps few blocks with an all-ties one
 # (u == v at lambda = 0) whose scan keeps every block of the grid.
@@ -585,6 +632,33 @@ class TestGridScan:
         got = [pain._point(i, start, stop, grid_points) for i in range(grid_points)]
         assert all(type(x) is float for x in got)
         assert np.array(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid_points", [101, 129, 10001])
+    def test_layout(self, grid_points):
+        # The block endpoints run from grid point 1 to last - 1 through the
+        # multiples of pain._SPAN between, and the first call scores them
+        # between grid points 0 and last.
+        ends, index = pain._layout(grid_points)
+        last = grid_points - 1
+        assert ends[0] == 1 and ends[-1] == last - 1
+        assert (np.diff(ends) > 0).all()
+        assert (ends[1:-1] % pain._SPAN == 0).all()
+        assert np.diff(ends).max() <= pain._SPAN
+        assert index.tolist() == [0, *ends.tolist(), last]
+        if grid_points == 101:
+            assert ends.tolist() == [1, 99]
+
+    @settings(max_examples=100, deadline=None)
+    @given(start=st.floats(0.0, 1.0), width=WIDTHS, grid=ascending_indices())
+    @example(start=0.0, width=5e-324, grid=(10001, np.array([0, 1, 5000, 9999, 10000])))
+    @example(start=0.3, width=1e-16, grid=(2049, np.array([0, 1, 1024, 2047])))
+    def test_grid_at_ascending_index(self, start, width, grid):
+        # _grid_at of ascending indices, with and without the last one, is
+        # linspace at those indices bit for bit, also where the step underflows.
+        grid_points, index = grid
+        stop = min(1.0, start + width)
+        want = np.linspace(start, stop, grid_points)[index]
+        assert pain._grid_at(index, start, stop, grid_points).tobytes() == want.tobytes()
 
     def test_layout_is_built_once_per_grid_size(self):
         pain._layout.cache_clear()

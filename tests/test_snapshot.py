@@ -12,7 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfkit import joint_bounds, pain
+from cfkit import (
+    CHEBYSHEV,
+    DistanceParams,
+    joint_bounds,
+    legacy_comparison_sweep,
+    normalize_patient_score,
+    pain,
+    sensitivity_sweep,
+    solve_programming1,
+)
 from cfkit.cli import main
 from cfkit.figures import fig7_rows, fig8_rows
 
@@ -186,3 +195,33 @@ def test_solver_digest():
     h.update(repr(fig7_rows()).encode())
     h.update(repr(fig8_rows()).encode())
     assert h.hexdigest() == SOLVER_SHA256
+
+
+# sha256 over repr of CLINIC_SOLVES seeded clinic-like solve_programming1
+# results, then of sensitivity_sweep and legacy_comparison_sweep at each
+# pair of CLINIC_SWEEPS.
+CLINIC_SHA256 = "20164153b80df701a59aa586af76579529827ae8dafbc9d74d24092e1f12f662"
+CLINIC_SOLVES = 2000
+CLINIC_ORDERS = [*range(1, 11), CHEBYSHEV]
+# An optimum on a bound, a mixed sweep, a near tie, all ties and an interval
+# two ulps wide.
+CLINIC_SWEEPS = [(0.07, 0.86), (0.3, 0.6), (0.3, 0.3 + 1e-12), (0.3, 0.3),
+                 (1.0, 0.2991984594656608)]
+
+
+def test_clinic_digest():
+    rng = np.random.default_rng(20261020)
+    h = hashlib.sha256()
+    for _ in range(CLINIC_SOLVES):
+        u, v = rng.random(2).tolist()
+        if rng.random() < 0.08:  # a zero-width interval
+            u = float(rng.integers(0, 2))
+        p = CLINIC_ORDERS[rng.integers(0, len(CLINIC_ORDERS))]
+        params = DistanceParams(p=p, lam=rng.integers(0, 21) / 20)
+        patient_pain = normalize_patient_score(rng.integers(0, 11, 7).tolist())
+        h.update(repr(solve_programming1(u, v, patient_pain, params)).encode())
+    lams = np.linspace(0.0, 1.0, 21)
+    for u, v in CLINIC_SWEEPS:
+        h.update(repr(sensitivity_sweep(u, v, 0.4, CLINIC_ORDERS, lams)).encode())
+        h.update(repr(legacy_comparison_sweep(u, v, 0.4, CLINIC_ORDERS)).encode())
+    assert h.hexdigest() == CLINIC_SHA256
