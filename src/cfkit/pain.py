@@ -15,8 +15,11 @@ through one kernel chain: ``backends.line_terms`` builds the anchor terms
 straight from ``(u, v, j)`` in the shape of ``j``, ``terms_parts`` makes the
 parts of both anchors as one leading axis, one ``combine`` mixes them for a
 column of all lambdas or for one lambda per point, ``ratio`` gives the
-scores, and ``np.square`` of their gap to the target the objectives.  The
-grid scan returns the full scan's argmin bit for bit but scores only what
+scores, and ``np.square`` of their gap to the target the objectives.  A
+zero-width interval and an exact tie ``u == v``, where every score is 0.5,
+take the one-point path: one kernel call scores ``j_lo``, which is the grid
+scan's answer and the refinement's for them (see ``_solve``).  The grid
+scan returns the full scan's argmin bit for bit but scores only what
 could hold it: grid points 0 and last and the block endpoints between them
 first, which are grid points 1 and last - 1 and every ``_SPAN``-th grid
 point between.  The score is monotone along the grid, so where the scores
@@ -32,10 +35,11 @@ step goes against the prediction the rest is predicted again (see
 the bound are known before anything is scored, so most solves make one
 kernel call: the first points of the scan and those paths.  Around that
 call the solve keeps its bookkeeping in Python floats.
-``solve_programming1`` is the one-lambda case, ``sensitivity_sweep`` solves
-once per order over the whole lambda grid, and ``legacy_comparison_sweep``
-scores rows with their hesitancy dropped at lambda = 1, which is the
-hesitancy-blind Minkowski score.
+``solve_programming1`` is the one-lambda case.  Both sweeps wrap ``_sweep``,
+which solves once per order over the whole lambda grid:
+``sensitivity_sweep`` over the given grid, and ``legacy_comparison_sweep``
+at lambda = 1 with the hesitancy dropped, which is the hesitancy-blind
+Minkowski score.
 """
 
 from __future__ import annotations
@@ -145,13 +149,21 @@ def _field(key: str):
         raise error from exc
 
 
+def _number(value, name: str):
+    """``value``, refused where the JSON gives a boolean or a string for a number."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def assessment_from_dict(data: dict) -> tuple[PainAssessment, DistanceParams]:
     """Read the assessment-input JSON object.
 
     An error that a value, or a missing key, raises carries its JSON key as
     ``field``.  The values are checked in the order in which
     ``PainAssessment`` and ``DistanceParams`` check them, so the first error
-    is theirs.
+    is theirs, but for a boolean or a string given for a similarity or for
+    ``lambda``, which is refused.  ``p`` keeps its text forms ("inf", "3").
     """
     if not isinstance(data, dict):
         raise ValueError(f"assessment input must be a JSON object, got {type(data).__name__}")
@@ -164,7 +176,7 @@ def assessment_from_dict(data: dict) -> tuple[PainAssessment, DistanceParams]:
         normalize_patient_score(items)
     for key, name in (("sim_scale0", "sim_to_scale0"), ("sim_scale10", "sim_to_scale10")):
         with _field(key):
-            _check_unit(data[key], name)
+            _check_unit(_number(data[key], name), name)
     assessment = PainAssessment(items, data["sim_scale0"], data["sim_scale10"])
     with _field("p"):
         p = data.get("p", 2)
@@ -172,7 +184,7 @@ def assessment_from_dict(data: dict) -> tuple[PainAssessment, DistanceParams]:
             p = parse_order(p)
         order_code(p)
     with _field("lambda"):
-        params = DistanceParams(p=p, lam=data.get("lambda", 0.5))
+        params = DistanceParams(p=p, lam=_number(data.get("lambda", 0.5), "lambda"))
     return assessment, params
 
 
@@ -270,25 +282,34 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     ``blind`` zeroes the hesitancy: with lambda = 1 that is the
     hesitancy-blind Minkowski score, bit for bit.
 
+    The one-point path: a zero-width interval and an exact tie ``u == v``
+    are answered by one kernel call that scores ``j_lo`` for every lambda,
+    the bits of grid point 0, since ``j_lo`` is never -0.0.  A zero-width
+    interval has that one j.  Where ``u == v``, ``u - j`` and ``v - j`` are
+    the same float, so the worst anchor's terms ``(|u - j|, |v - j - 1|, j,
+    h)`` and the best's ``(|u - j - 1|, |v - j|, j, h)`` are the same
+    floats, the first two swapped.  They are paired in commutative sums and
+    maxima, so ``d_w == d_b`` bit for bit, and every score is exactly 0.5,
+    as ``d_w + d_b >= 1``.  Every objective then ties: grid point 0 wins
+    the scan, and the refinement keeps only a strictly better candidate, of
+    which there is none.
+
     Past the scan, the bookkeeping is on Python floats, which are the same
     IEEE doubles: the grid points of the brackets come from ``_point``, and
     each lambda's optimum ``j``, score and objective are list entries, from
     the scan's own arrays at its argmin.
     """
-    flat = j_hi - j_lo <= 0.0
+    if j_hi - j_lo <= 0.0 or u == v:  # the one-point path
+        _, s = _objective(u, v, np.array([[j_lo]]), target, code, lams[:, None], blind)
+        return np.full(len(lams), j_lo), s[:, 0]
     last = grid_points - 1
-    ends, extra = (), []
-    if not flat:  # the end brackets' paths toward their bounds, grid points 0 and last
-        ends = (
-            _path(j_lo, _point(1, j_lo, j_hi, grid_points), j_lo),
-            _path(_point(last - 1, j_lo, j_hi, grid_points), j_hi, j_hi),
-        )
-        extra = ends[0][0] + ends[1][0]
-    k, j_opt, s_opt, best, obj_ends, s_ends = _scan(
-        u, v, (j_lo, j_hi, grid_points), target, code, lams, blind, flat, extra
+    ends = (  # the end brackets' paths toward their bounds, grid points 0 and last
+        _path(j_lo, _point(1, j_lo, j_hi, grid_points), j_lo),
+        _path(_point(last - 1, j_lo, j_hi, grid_points), j_hi, j_hi),
     )
-    if flat:
-        return j_opt, s_opt
+    k, j_opt, s_opt, best, obj_ends, s_ends = _scan(
+        u, v, (j_lo, j_hi, grid_points), target, code, lams, blind, ends[0][0] + ends[1][0]
+    )
 
     # The final check: the grid optimum, then the last bracket's ends and
     # midpoint.  A candidate replaces the optimum only where it is strictly
@@ -344,22 +365,24 @@ def _objective(u, v, j, target, code, lam, blind) -> tuple[np.ndarray, np.ndarra
     return np.square(target - s), s
 
 
-def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarray, ...]:
+def _scan(u, v, line, target, code, lams, blind, extra) -> tuple[np.ndarray, ...]:
     """Each lambda's grid argmin of ``(target - s)**2``, and the score there, scoring what can win.
 
     ``line`` is the grid's ``(j_lo, j_hi, grid_points)``; returns, per
     lambda, the grid index, ``j``, score and objective of the argmin, the
     same bits as ``_grid_at`` of that index and its scoring, then the
     ``(len(lams), len(extra))`` objectives and scores of the list of points
-    ``extra``.  The grid splits into blocks between endpoints (see
-    ``_layout``).  The first kernel call scores, for every lambda, grid
-    points 0 and ``last``, where most optima lie, the endpoints between
-    them, and ``extra``.  The score is monotone in ``j`` along the line (the
-    lemma below), so every score at grid points ``1 .. last - 1`` lies in
-    the hull of the scores at 1 and ``last - 1``, and every interior score
-    of a block in the hull of its two endpoint scores, each widened by
-    ``_SLACK`` for rounding.  A lower bound on the objective over such a
-    hull is the squared distance from the target to it.
+    ``extra``.  A zero-width interval and an exact tie ``u == v`` never get
+    here: ``_solve`` answers them on its one-point path.  The grid splits
+    into blocks between endpoints (see ``_layout``).  The first kernel call
+    scores, for every lambda, grid points 0 and ``last``, where most optima
+    lie, the endpoints between them, and ``extra``.  The score is monotone
+    in ``j`` along the line (the lemma below), so every score at grid points
+    ``1 .. last - 1`` lies in the hull of the scores at 1 and ``last - 1``,
+    and every interior score of a block in the hull of its two endpoint
+    scores, each widened by ``_SLACK`` for rounding.  A lower bound on the
+    objective over such a hull is the squared distance from the target to
+    it.
 
     Where that bound over the whole range exceeds the best objective of
     every lambda in the first call, the scan is done after that call: a
@@ -449,8 +472,7 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
       rounded difference is monotone in its size, so no pruned point's
       objective can fall to the best one.
 
-    A zero-width interval (``flat``) has one j, and scores one point and
-    ``extra``.  The first call lays its grid points out in grid order, by
+    The first call lays its grid points out in grid order, by
     the layout cached for the grid size.  The kept interiors are scored at
     most ``_BLOCK`` points per kernel call.  Each call scores its points as
     a ``(1, n)`` row against the column of all lambdas, with one
@@ -458,8 +480,6 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
     order on a tie.
     """
     ends, index = _layout(line[2])
-    if flat:
-        index = index[:1]
     n = len(index)
     lam = lams[:, None]
     rows = np.arange(len(lams))
@@ -468,8 +488,6 @@ def _scan(u, v, line, target, code, lams, blind, flat, extra) -> tuple[np.ndarra
     m = obj[:, :n].argmin(1)
     k, j_opt, s_opt, best = index[m], j[m], s[rows, m], obj[rows, m]
     obj_extra, s_extra = obj[:, n:], s[:, n:]
-    if flat:
-        return k, j_opt, s_opt, best, obj_extra, s_extra
 
     # the whole range: the hull of the scores at grid points 1 and last - 1
     for x, y, o in zip(s[:, 1].tolist(), s[:, n - 2].tolist(), best.tolist()):
@@ -661,6 +679,26 @@ class LegacySweepRow(NamedTuple):
     gap: float
 
 
+def _sweep(u, v, patient_pain, p_list, lambda_grid, grid_points, blind=False) -> list[tuple]:
+    """The rows ``(p, lam, j_opt, s_opt, target - s_opt)`` of every (p, lambda) cell.
+
+    One ``_solve`` per order serves all of its lambdas.  The arguments are
+    checked in the order grid, pain, bounds, lambda.
+    """
+    _check_grid(grid_points)
+    target = 1.0 - _check_unit(patient_pain, "patient pain")
+    j_lo, j_hi = joint_bounds(u, v)
+    lams = check_lambdas(lambda_grid)
+    rows = []
+    for p in p_list:
+        j_opt, s_opt = _solve(u, v, j_lo, j_hi, target, order_code(p), lams, grid_points, blind)
+        rows.extend(
+            (p, lam, j, s, target - s)
+            for lam, j, s in zip(lams.tolist(), j_opt.tolist(), s_opt.tolist())
+        )
+    return rows
+
+
 def sensitivity_sweep(
     u, v, patient_pain, p_list, lambda_grid, grid_points: int = DEFAULT_GRID_POINTS
 ) -> list[SweepRow]:
@@ -669,18 +707,7 @@ def sensitivity_sweep(
     The per-row ``gap`` is ``target - s_opt``, identical to the solution's
     nurse-minus-patient gap.
     """
-    _check_grid(grid_points)
-    target = 1.0 - _check_unit(patient_pain, "patient pain")
-    j_lo, j_hi = joint_bounds(u, v)
-    lams = check_lambdas(lambda_grid)
-    rows = []
-    for p in p_list:
-        j_opt, s_opt = _solve(u, v, j_lo, j_hi, target, order_code(p), lams, grid_points)
-        rows.extend(
-            SweepRow(p, lam, j, s, target - s)
-            for lam, j, s in zip(lams.tolist(), j_opt.tolist(), s_opt.tolist())
-        )
-    return rows
+    return [SweepRow(*row) for row in _sweep(u, v, patient_pain, p_list, lambda_grid, grid_points)]
 
 
 def legacy_comparison_sweep(
@@ -691,13 +718,7 @@ def legacy_comparison_sweep(
     That score is the combined-distance score at lambda = 1 of the rows with
     their hesitancy dropped.
     """
-    _check_grid(grid_points)
-    target = 1.0 - _check_unit(patient_pain, "patient pain")
-    j_lo, j_hi = joint_bounds(u, v)
-    rows = []
-    for p in p_list:
-        j, s = _solve(
-            u, v, j_lo, j_hi, target, order_code(p), np.ones(1), grid_points, blind=True
-        )
-        rows.append(LegacySweepRow(p, j.item(), s.item(), target - s.item()))
-    return rows
+    return [
+        LegacySweepRow(p, j, s, gap)
+        for p, _, j, s, gap in _sweep(u, v, patient_pain, p_list, (1.0,), grid_points, blind=True)
+    ]

@@ -49,8 +49,8 @@ def scores(rows, code: int, lam) -> tuple:
     parts = backends.anchor_parts(rows, code)
     if getattr(lam, "ndim", 0) == 2:
         parts = [x[:, None] for x in parts]
-    d_worst, d_best = backends.combine(parts, lam)
-    return d_worst / (d_worst + d_best), d_worst, d_best
+    d = backends.combine(parts, lam)
+    return backends.ratio(d), d[0], d[1]
 
 
 def score(f: CognitiveFuzzyNumber, params: DistanceParams) -> ScoreResult:

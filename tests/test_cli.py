@@ -434,7 +434,10 @@ class TestPainEvalCommand:
     @pytest.mark.parametrize(
         "change,field",
         [({"sim_scale0": None}, "sim_scale0"), ({"patient_items": 5}, "patient_items"),
-         ({"lambda": [0.5]}, "lambda")],
+         ({"lambda": [0.5]}, "lambda"),
+         # a JSON boolean or string is not a number, "0.4" included
+         ({"sim_scale0": True}, "sim_scale0"), ({"sim_scale10": "0.4"}, "sim_scale10"),
+         ({"lambda": True}, "lambda"), ({"lambda": "0.4"}, "lambda")],
     )
     def test_input_value_of_wrong_type(self, capsys, tmp_path, change, field):
         path = tmp_path / "case.json"

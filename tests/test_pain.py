@@ -210,8 +210,9 @@ class TestSolveMatchesReference:
     @example(uv=(0.0, 0.6), target=0.7, p=CHEBYSHEV, lams=np.linspace(0.0, 1.0, 11),
              blind=False)
     @example(uv=(1.0, 0.35), target=0.2, p=1, lams=np.array([1.0]), blind=True)
-    # all ties (u == v at lambda = 0): no block may be pruned, and the optimum
-    # on j_lo takes its first ternary step inward, off the spine
+    # all ties (u == v at lambda = 0): the one-point path against the
+    # reference's full scan, whose optimum on j_lo takes its first ternary
+    # step inward
     @example(uv=(0.3, 0.3), target=0.2, p=3, lams=np.array([0.0]), blind=False)
     # the target is the score of the first or the last grid point, both endpoints
     @example(uv=(0.07, 0.86), target=reference_score(0.07, 0.86, 0.0, 3, 0.5), p=3,
@@ -229,8 +230,8 @@ class TestSolveMatchesReference:
     # can score under both its endpoints and only pain._SLACK keeps it
     @example(uv=(0.9999914522524619, 0.9999914422524618), target=0.25, p=3,
              lams=np.linspace(0.0, 1.0, 21), blind=False)
-    # u == v at lambda > 0: both anchors' distances have equal bits, every
-    # score is 0.5 and no block may be pruned
+    # u == v at lambda > 0: both anchors' distances have equal bits and every
+    # score is 0.5, so the one-point path answers j_lo
     @example(uv=(0.3, 0.3), target=0.2, p=3, lams=np.array([0.5]), blind=False)
     @example(uv=(0.5, 0.5), target=0.7, p=64, lams=np.linspace(0.0, 1.0, 21)[::-1],
              blind=True)
@@ -257,7 +258,7 @@ class TestSolveMatchesReference:
     # the grid suggests, so the spine's walk turns at its first step
     @example(uv=(0.4, 0.61), target=reference_score(0.4, 0.61, 0.3980461, 5, 0.2), p=5,
              lams=np.array([0.2]), blind=False)
-    # a zero-width interval: no spine paths, under 21 lambdas
+    # a zero-width interval: the one-point path, under 21 lambdas
     @example(uv=(1.0, 0.3), target=0.4, p=2, lams=np.linspace(0.0, 1.0, 21), blind=False)
     # a wide interval: at grid 101 the spine paths take 33 steps
     @example(uv=(0.49, 0.52), target=0.48, p=3, lams=np.array([0.5]), blind=False)
@@ -586,7 +587,7 @@ def ascending_indices(draw):
 
 # Minor page faults per solve over 400 solves that follow 40 warm-up ones.
 # Each step pairs a solve whose scan keeps few blocks with an all-ties one
-# (u == v at lambda = 0) whose scan keeps every block of the grid.
+# (u == v at lambda = 0), which takes the one-point path.
 FAULTS_PER_SOLVE = """
 import resource
 import cfkit
@@ -674,11 +675,12 @@ class TestGridScan:
                 array[0] = 1
 
     # Optima on j_hi for 1 and for 21 lambdas, where the scan's first call
-    # prunes every block it has not scored, and all ties (u == v at lambda =
-    # 0), where every block is kept and the rest are scored in 5 calls.
+    # prunes every block it has not scored, and a near tie (|u - v| = 1e-12
+    # at lambda = 0), where every block is kept and the rest are scored in 5
+    # calls.
     @pytest.mark.parametrize("uv, target, lam, grid_points, kernel_calls", [
         ((0.1, 0.9), 12 / 70, 0.5, 2049, 1),
-        ((0.3, 0.3), 0.2, 0.0, 10001, 6),
+        ((0.3, 0.3 + 1e-12), 0.2, 0.0, 10001, 6),
     ])
     def test_scan_combines_once_per_kernel_call(self, uv, target, lam, grid_points, kernel_calls,
                                                 monkeypatch):
@@ -710,21 +712,49 @@ class TestGridScan:
     @pytest.mark.parametrize("grid_points", [2047, 2048, 2049, 4097, 10001])
     def test_all_ties_first_point_wins(self, grid_points, monkeypatch):
         # u == v at lambda = 0: the distances to both anchors are the same
-        # Chebyshev term, so every grid score is exactly 0.5, no block is
-        # pruned and the scan scores its kept points at most pain._BLOCK per call.
-        points = []
-        line_terms = backends.line_terms
-
-        def count(u, v, j, blind):
-            points.append(j.size)
-            return line_terms(u, v, j, blind)
-
-        monkeypatch.setattr(backends, "line_terms", count)
+        # Chebyshev term, so every score is exactly 0.5 and grid point 0,
+        # j_lo, wins.
+        points = TestSolveMatchesReference.kernel_calls(monkeypatch)
         solution = solve_programming1(0.3, 0.3, 0.2, DistanceParams(p=3, lam=0.0),
                                       grid_points=grid_points)
-        assert solution.s_opt == 0.5
-        assert solution.j_opt == joint_bounds(0.3, 0.3)[0]
-        assert max(points) <= pain._BLOCK
+        assert (solution.j_opt, solution.s_opt) == (joint_bounds(0.3, 0.3)[0], 0.5)
+        assert points == [1]
+
+    @pytest.mark.parametrize("grid_points", [2047, 2048, 2049, 4097, 10001])
+    def test_near_tie_scores_at_most_a_block_per_call(self, grid_points, monkeypatch):
+        # |u - v| = 1e-12 at lambda = 0: every score ties within pain._SLACK,
+        # so no block is pruned by its hull, and the scan scores its kept
+        # points at most pain._BLOCK per call (10,189 points in 12 calls at
+        # 10,001 grid points).
+        points = TestSolveMatchesReference.kernel_calls(monkeypatch)
+        solve_programming1(0.3, 0.3 + 1e-12, 0.2, DistanceParams(p=3, lam=0.0),
+                           grid_points=grid_points)
+        assert max(points) <= pain._BLOCK < sum(points)
+
+    @pytest.mark.parametrize("grid_points", [101, 2049, 10001])
+    @pytest.mark.parametrize("blind", [False, True])
+    @pytest.mark.parametrize("lams", [np.array([0.5]), np.linspace(0.0, 1.0, 21)])
+    def test_exact_tie_takes_the_one_point_path(self, grid_points, blind, lams, monkeypatch):
+        # u == v: both anchors' terms are the same floats, the first two
+        # swapped, so every score is exactly 0.5 and every objective ties.
+        # One kernel call of one point answers j_lo for every lambda.
+        points = TestSolveMatchesReference.kernel_calls(monkeypatch)
+        for u in (0.0, 0.3, 0.5, 0.8, 1.0):
+            j_lo = joint_bounds(u, u)[0]
+            for code in range(65):
+                points.clear()
+                j_opt, s_opt = pain._solve(u, u, *joint_bounds(u, u), 0.2, code, lams,
+                                           grid_points, blind)
+                assert points == [1]
+                assert j_opt.tolist() == [j_lo] * len(lams)
+                assert s_opt.tolist() == [0.5] * len(lams)
+
+    def test_exact_tie_sweep_makes_one_call_per_order(self, monkeypatch):
+        points = TestSolveMatchesReference.kernel_calls(monkeypatch)
+        rows = sensitivity_sweep(0.3, 0.3, 0.4, [*range(1, 11), CHEBYSHEV],
+                                 np.linspace(0.0, 1.0, 21))
+        assert points == [1] * 11
+        assert {(row.j_opt, row.s_opt) for row in rows} == {(joint_bounds(0.3, 0.3)[0], 0.5)}
 
     def test_threads_keep_their_own_workspace(self):
         # One grid size, so that any module state the solver shared between
@@ -840,6 +870,19 @@ class TestPainAssessment:
                 {"patient_items": list(CASE_ITEMS), "sim_scale0": 0.4, "sim_scale10": 0.7,
                  "p": p}
             )
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("sim_scale0", True, "sim_to_scale0 must be a number, got True"),
+        ("sim_scale10", "0.4", "sim_to_scale10 must be a number, got '0.4'"),
+        ("lambda", True, "lambda must be a number, got True"),
+        ("lambda", "0.4", "lambda must be a number, got '0.4'"),
+    ])
+    def test_from_dict_refuses_booleans_and_strings(self, key, value, message):
+        data = {"patient_items": list(CASE_ITEMS), "sim_scale0": 0.4, "sim_scale10": 0.7}
+        with pytest.raises(ValueError) as raised:
+            assessment_from_dict({**data, key: value})
+        assert str(raised.value) == message
+        assert raised.value.field == key
 
     def test_from_dict_missing_key(self):
         with pytest.raises(ValueError):
