@@ -99,28 +99,32 @@ def _sum(terms, p: int) -> np.ndarray:
 
 
 def _finish(s: np.ndarray, terms, p: int) -> np.ndarray:
-    """p-th root of the power sum ``s`` of ``terms``, in place.
+    """p-th root of the power sum ``s`` of the terms that ``terms()`` returns, in place.
 
     Rows whose power sum falls below the smallest normal float are
-    recomputed max-scaled (0 where every term is 0), reading ``terms`` by
+    recomputed max-scaled (0 where every term is 0), reading the terms by
     broadcast; Chebyshev and p=1 sums take no powers and cannot underflow.
+    Only that rescue asks for the terms, so a caller builds them on demand.
+    The test for it is one reduction: ``fmin`` skips NaN as ``s < _TINY``
+    does.
     """
     if p <= 1:
         return s
+    if np.fmin.reduce(s, axis=None) >= _TINY:
+        return _root(s, p)
     small = s < _TINY
     _root(s, p)
-    if small.any():
-        t = np.stack([np.broadcast_to(x, s.shape)[small] for x in terms])
-        m = t.max(axis=0)
-        t /= np.where(m > 0.0, m, 1.0)
-        s[small] = m * _root(_sum(_ipow(t, p), p), p)
+    t = np.stack([np.broadcast_to(x, s.shape)[small] for x in terms()])
+    m = t.max(axis=0)
+    t /= np.where(m > 0.0, m, 1.0)
+    s[small] = m * _root(_sum(_ipow(t, p), p), p)
     return s
 
 
 def _norm(terms, p: int) -> np.ndarray:
     """Minkowski norm over the absolute-difference columns ``terms``."""
     powers = terms if p <= 1 else [_ipow(t, p) for t in terms]
-    return _finish(_sum(powers, p), terms, p)
+    return _finish(_sum(powers, p), lambda: terms, p)
 
 
 def cfim_pairwise(a, b, p_code: int) -> np.ndarray:
@@ -189,7 +193,7 @@ def terms_parts(t: np.ndarray, p_code: int) -> tuple[np.ndarray, np.ndarray]:
     # Chebyshev (0) and p=1 aggregate the terms themselves.
     tp = t if p_code <= 1 else _ipow(t, p_code)
     norm = _finish(
-        _sum((tp[0:2], tp[2:4], tp[4], tp[5]), p_code), (t[0:2], t[2:4], t[4], t[5]), p_code
+        _sum((tp[0:2], tp[2:4], tp[4], tp[5]), p_code), lambda: (t[0:2], t[2:4], t[4], t[5]), p_code
     )
     return norm, np.maximum(t[0:2], t[2:4])
 
@@ -210,10 +214,18 @@ def combine(parts, lam):
 
     ``lam`` is one value or an array that broadcasts against each anchor's
     parts, so a column of lambdas needs an axis on them.  Returns one ``(2,
-    ...)`` array, or one array per anchor where their mix passes ``_MIX_MAX``.
+    ...)`` array, or one array per anchor where their mix passes ``_MIX_MAX``
+    elements.  A column of one lambda is mixed as its value, a Python float:
+    it broadcasts to the same shape, and numpy multiplies by a float faster
+    than by a broadcast array.
     """
     norm, cheb = parts
-    if np.broadcast(norm, lam).size > _MIX_MAX:
+    size = norm.size  # of the mix: one value, or one lambda per point, keeps the parts' shape
+    if getattr(lam, "ndim", 0) == 2:  # a column, against parts with an axis for it
+        size *= len(lam)
+        if lam.size == 1:
+            lam = lam.item()
+    if size > _MIX_MAX:
         return mix(lam, norm[0], cheb[0]), mix(lam, norm[1], cheb[1])
     return mix(lam, norm, cheb)
 

@@ -16,7 +16,6 @@ and they always partition the unit: ``u* + v* + j + h = 1``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,9 @@ _BRACKET_PAIRS = (("⟨", "⟩"), ("<", ">"), ("(", ")"), ("[", "]"))
 
 def _unit(value: float, name: str) -> float:
     x = float(value)
-    if math.isnan(x) or x < -CLAMP_TOL or x > 1.0 + CLAMP_TOL:
+    if 0.0 < x < 1.0:  # inside, where the clamp below keeps x
+        return x
+    if not -CLAMP_TOL <= x <= 1.0 + CLAMP_TOL:  # NaN fails both comparisons
         raise OutOfRangeError(f"{name} must lie in [0, 1], got {value!r}")
     return min(1.0, max(0.0, x))
 
@@ -46,11 +47,20 @@ def joint_bounds(u: float, v: float) -> tuple[float, float]:
     The lower bound is clamped so the interval is never empty despite
     floating-point rounding of ``u + v - 1``.
     """
+    return clamped_bounds(u, v)[2:]
+
+
+def clamped_bounds(u: float, v: float) -> tuple[float, float, float, float]:
+    """``(u, v, lo, hi)``: ``u`` and ``v`` checked and clamped to [0, 1], and ``joint_bounds``.
+
+    A similarity within ``CLAMP_TOL`` outside [0, 1] is clamped onto it, so
+    a caller that builds CFNs from ``u`` and ``v`` on ``[lo, hi]`` takes the
+    clamped values: a raw ``u`` above 1 would give a negative hesitancy.
+    """
     u = _unit(u, "u")
     v = _unit(v, "v")
     hi = min(u, v)
-    lo = min(max(0.0, u + v - 1.0), hi)
-    return lo, hi
+    return u, v, min(max(0.0, u + v - 1.0), hi), hi
 
 
 def _max(a, b):

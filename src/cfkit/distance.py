@@ -38,6 +38,8 @@ def order_code(p) -> int:
     Accepted: integers 1..64, or ``CHEBYSHEV`` (``math.inf``) which maps to
     code 0. Fractional orders are rejected.
     """
+    if type(p) is int and 1 <= p <= MAX_ORDER:
+        return p
     if isinstance(p, float) and math.isinf(p) and p > 0:
         return backends.CHEBYSHEV_CODE
     if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
@@ -62,23 +64,25 @@ def parse_order(text: str):
         raise OutOfRangeError(f"order p must be an integer or 'inf', got {text!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DistanceParams:
     """Minkowski order and balance parameter for the combined distance.
 
     ``cf_h`` reads neither field and ``cf_im`` reads only ``p``; carrying
-    both keeps one parameter object usable across every measure.
+    both keeps one parameter object usable across every measure.  The
+    checked fields are set with one ``__dict__`` update, where a generated
+    ``__init__`` would set each one through ``object.__setattr__``.
     """
 
     p: int | float = 2
     lam: float = 0.5
 
-    def __post_init__(self) -> None:
-        order_code(self.p)
-        lam = float(self.lam)
-        if math.isnan(lam) or not 0.0 <= lam <= 1.0:
-            raise OutOfRangeError(f"lambda must lie in [0, 1], got {self.lam!r}")
-        object.__setattr__(self, "lam", lam)
+    def __init__(self, p=2, lam=0.5) -> None:
+        order_code(p)
+        x = float(lam)
+        if not 0.0 <= x <= 1.0:  # NaN fails both comparisons
+            raise OutOfRangeError(f"lambda must lie in [0, 1], got {lam!r}")
+        self.__dict__.update(p=p, lam=x)
 
 
 def component_row(f: CognitiveFuzzyNumber) -> np.ndarray:

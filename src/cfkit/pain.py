@@ -33,8 +33,11 @@ toward a point, scored in one call, and walked on the scores, and where a
 step goes against the prediction the rest is predicted again (see
 ``_solve``).  Most answers sit on a bound of the grid, whose paths toward
 the bound are known before anything is scored, so most solves make one
-kernel call: the first points of the scan and those paths.  Around that
-call the solve keeps its bookkeeping in Python floats.
+kernel call: the first points of the scan and those paths, or the path
+toward ``j_hi`` alone where the target lies across 0.5 from every score.
+Around that call the solve keeps its bookkeeping in Python floats, read out
+of the kernel's arrays with ``item``.  Every entry point scores the
+similarities as ``clamped_bounds`` clamps them onto [0, 1].
 ``solve_programming1`` is the one-lambda case.  Both sweeps wrap ``_sweep``,
 which solves once per order over the whole lambda grid:
 ``sensitivity_sweep`` over the given grid, and ``legacy_comparison_sweep``
@@ -45,6 +48,7 @@ Minkowski score.
 from __future__ import annotations
 
 import operator
+import struct
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -54,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import backends
-from .cfn import joint_bounds
+from .cfn import clamped_bounds
 from .distance import DistanceParams, check_lambdas, order_code, parse_order
 from .errors import BadItemCountError, ItemOutOfRangeError, OutOfRangeError
 
@@ -98,7 +102,9 @@ def normalize_patient_score(items) -> float:
     if len(items) != ITEM_COUNT:
         raise BadItemCountError(f"expected {ITEM_COUNT} items, got {len(items)}")
     for i, item in enumerate(items):
-        if isinstance(item, bool) or not isinstance(item, (int, np.integer)):
+        if type(item) is not int and (
+            isinstance(item, bool) or not isinstance(item, (int, np.integer))
+        ):
             raise ItemOutOfRangeError(f"item {i + 1} must be an integer, got {item!r}")
         if not 0 <= item <= ITEM_MAX:
             raise ItemOutOfRangeError(f"item {i + 1} must lie in 0..{ITEM_MAX}, got {item}")
@@ -112,19 +118,28 @@ def _check_unit(value, name: str) -> float:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PainAssessment:
-    """Seven questionnaire items plus the nurse's two face similarities."""
+    """Seven questionnaire items plus the nurse's two face similarities.
+
+    Like ``PainSolution`` and ``DistanceParams``, it sets its checked fields
+    with one ``__dict__`` update, where a generated ``__init__`` would set
+    each one through ``object.__setattr__``.
+    """
 
     patient_items: tuple[int, ...]
     sim_to_scale0: float
     sim_to_scale10: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "patient_items", tuple(self.patient_items))
-        object.__setattr__(self, "_pain", normalize_patient_score(self.patient_items))
-        for name in ("sim_to_scale0", "sim_to_scale10"):
-            object.__setattr__(self, name, _check_unit(getattr(self, name), name))
+    def __init__(self, patient_items, sim_to_scale0, sim_to_scale10) -> None:
+        items = tuple(patient_items)
+        pain = normalize_patient_score(items)
+        self.__dict__.update(
+            patient_items=items,
+            sim_to_scale0=_check_unit(sim_to_scale0, "sim_to_scale0"),
+            sim_to_scale10=_check_unit(sim_to_scale10, "sim_to_scale10"),
+            _pain=pain,
+        )
 
     @property
     def patient_pain(self) -> float:
@@ -188,7 +203,7 @@ def assessment_from_dict(data: dict) -> tuple[PainAssessment, DistanceParams]:
     return assessment, params
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PainSolution:
     j_opt: float
     s_opt: float
@@ -197,6 +212,13 @@ class PainSolution:
     gap: float
     confusion_ratio: float
     recommendation: str
+
+    def __init__(self, j_opt, s_opt, nurse_pain, patient_pain, gap, confusion_ratio,
+                 recommendation) -> None:
+        self.__dict__.update(
+            j_opt=j_opt, s_opt=s_opt, nurse_pain=nurse_pain, patient_pain=patient_pain,
+            gap=gap, confusion_ratio=confusion_ratio, recommendation=recommendation,
+        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -207,19 +229,22 @@ class Interpretation(NamedTuple):
     final_pain_score: float
 
 
-def _grid_at(index, start: float, stop: float, grid_points: int) -> np.ndarray:
+def _grid_at(index, start: float, stop: float, grid_points: int, out=None) -> np.ndarray:
     """``np.linspace(start, stop, grid_points)[index]``, by linspace's own operations.
 
     Only the points at the integer array ``index`` are computed, so a solve
     never fills the whole grid.  ``index`` is non-empty and ascending, so
     only its last entry can be the last grid index, where linspace writes
-    ``stop``.
+    ``stop``.  The points are written to ``out`` where one is given.
     """
     div = grid_points - 1
     delta = stop - start
     step = delta / div
-    # linspace's order for a width so small that its step underflows
-    out = index / div * delta if step == 0.0 else index * step
+    if step == 0.0:  # linspace's order for a width so small that its step underflows
+        out = np.divide(index, div, out=out)
+        out *= delta
+    else:
+        out = np.multiply(index, step, out=out)
     out += start
     if index[-1] == div:
         out[-1] = stop
@@ -234,6 +259,15 @@ def _point(i: int, start: float, stop: float, grid_points: int) -> float:
     delta = stop - start
     step = delta / div
     return (i / div * delta if step == 0.0 else i * step) + start
+
+
+def _floats(values: list) -> np.ndarray:
+    """``np.array(values)`` of a list of Python floats, read-only.
+
+    ``struct`` copies the floats' IEEE bits into one buffer in about half
+    the time that ``np.array`` takes to convert them one by one.
+    """
+    return np.frombuffer(struct.pack(f"{len(values)}d", *values))
 
 
 @lru_cache(maxsize=16)
@@ -258,7 +292,8 @@ def _layout(grid_points: int) -> tuple[np.ndarray, np.ndarray]:
 def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     """Minimize ``(target - s(j))**2`` over the admissible j, once per lambda.
 
-    ``[j_lo, j_hi]`` is ``joint_bounds(u, v)``, which also validated u and v.
+    ``u`` and ``v`` lie in [0, 1] and ``[j_lo, j_hi]`` is their
+    ``joint_bounds``: ``clamped_bounds`` checked and clamped them.
     ``lams`` is a 1-D array of balance values; returns ``(j_opt, s_opt)``
     arrays with one entry per lambda.  Each lambda's optimum on the dense
     grid, which keeps the search robust against non-unimodal curves, is the
@@ -273,8 +308,17 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
     its grid optimum.  The two brackets at the bounds of the grid, where most
     answers sit, and their paths toward the bound are known before anything
     is scored, so the scan's first kernel call scores those paths with the
-    block endpoints, for every lambda.  A solve whose walk reaches the end of
-    its path and whose scan prunes every block makes one kernel call in all.
+    block endpoints, for every lambda.  Every score lies on the side of 0.5
+    where ``u`` lies against ``v`` (where ``u > v``, ``|u*| >= |v*|`` and
+    ``|v* - 1| >= |u* - 1|``, so ``d_w >= d_b``) and moves toward 0.5 as
+    ``j`` grows (``_scan``'s lemma).  So where the target lies across 0.5
+    from that side, or at 0.5, the optimum is ``j_hi`` up to rounding, and
+    the first call scores the path toward ``j_hi`` alone.  That is a
+    prediction: a grid optimum at 0 without its path, as where the scores
+    tie, is refined as an interior one is, from its bracket, grid points 0
+    and 1, at the cost of a call, never of a different answer.  A solve
+    whose walk reaches the end of its path and whose scan prunes every block
+    makes one kernel call in all.
     Each later round scores every live bracket's path in one call, with one
     lambda per point.  The kernels are elementwise and every objective is
     ``np.square`` of the gap, so a point has the same bits in whichever
@@ -296,36 +340,39 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
 
     Past the scan, the bookkeeping is on Python floats, which are the same
     IEEE doubles: the grid points of the brackets come from ``_point``, and
-    each lambda's optimum ``j``, score and objective are list entries, from
-    the scan's own arrays at its argmin.
+    each lambda's optimum ``j``, score and objective are the entries of the
+    scan's lists.  A walked path's objectives are a list, and its scores
+    are read with ``item`` only where a step turns or a candidate wins.
     """
     if j_hi - j_lo <= 0.0 or u == v:  # the one-point path
         _, s = _objective(u, v, np.array([[j_lo]]), target, code, lams[:, None], blind)
         return np.full(len(lams), j_lo), s[:, 0]
     last = grid_points - 1
-    ends = (  # the end brackets' paths toward their bounds, grid points 0 and last
-        _path(j_lo, _point(1, j_lo, j_hi, grid_points), j_lo),
-        _path(_point(last - 1, j_lo, j_hi, grid_points), j_hi, j_hi),
-    )
-    k, j_opt, s_opt, best, obj_ends, s_ends = _scan(
-        u, v, (j_lo, j_hi, grid_points), target, code, lams, blind, ends[0][0] + ends[1][0]
-    )
+    line = (j_lo, j_hi, grid_points)
+    # The end brackets' paths toward their bounds, by grid index, with their
+    # place among the first call's extra points; the one toward j_lo only
+    # where the target lies on the scores' side of 0.5.
+    upper = _path(_point(last - 1, *line), j_hi, j_hi)
+    ends, extra = {last: (upper, 0)}, upper[0]
+    if (target > 0.5) if u > v else (target < 0.5):
+        lower = _path(j_lo, _point(1, *line), j_lo)
+        ends[0] = (lower, len(extra))
+        extra = extra + lower[0]
+    k, j_opt, s_opt, best, obj_ends, s_ends = _scan(u, v, line, target, code, lams, blind, extra)
 
     # The final check: the grid optimum, then the last bracket's ends and
     # midpoint.  A candidate replaces the optimum only where it is strictly
     # better, so the first of the least objectives wins; no objective is
     # NaN, since d_worst + d_best >= 1.
-    j_opt, s_opt, best = j_opt.tolist(), s_opt.tolist(), best.tolist()
     scored, todo = [], []  # (cell, path, its objectives, its scores); (cell, path)
-    for i, c in enumerate(k.tolist()):
-        if c == 0 or c == last:
-            path = ends[c > 0]
-            start = len(ends[0][0]) if c else 0
-            cut = slice(start, start + len(path[0]))
-            scored.append((i, path, obj_ends[i, cut].tolist(), s_ends[i, cut].tolist()))
-        else:  # the grid optimum's two neighbours bracket it
-            lo = _point(c - 1, j_lo, j_hi, grid_points)
-            hi = _point(c + 1, j_lo, j_hi, grid_points)
+    for i, c in enumerate(k):
+        if c in ends:
+            path, a = ends[c]
+            b = a + len(path[0])
+            scored.append((i, path, obj_ends[i, a:b].tolist(), s_ends[i, a:b]))
+        else:  # its neighbours bracket the grid optimum, or at a bound its one neighbour
+            lo = _point(max(c - 1, 0), *line)
+            hi = _point(min(c + 1, last), *line)
             todo.append((i, _path(lo, hi, j_opt[i])))
     while True:
         for i, path, obj, s_path in scored:
@@ -333,17 +380,17 @@ def _solve(u, v, j_lo, j_hi, target, code, lams, grid_points, blind=False):
             if rest:
                 todo.append((i, rest))
                 continue
-            for x, ox, sx in zip(path[0][-3:], obj[-3:], s_path[-3:]):
-                if ox < best[i]:
-                    j_opt[i], s_opt[i], best[i] = x, sx, ox
+            for t in range(len(obj) - 3, len(obj)):
+                if obj[t] < best[i]:
+                    j_opt[i], s_opt[i], best[i] = path[0][t], s_path.item(t), obj[t]
         if not todo:
             break
         cells, paths = zip(*todo)
         sizes = [len(path[0]) for path in paths]
-        points = np.array([x for path in paths for x in path[0]])
+        points = _floats([x for path in paths for x in path[0]])
         lam = np.repeat(lams[list(cells)], sizes)
         obj, s_all = _objective(u, v, points, target, code, lam, blind)
-        obj, s_all = obj.tolist(), s_all.tolist()
+        obj = obj.tolist()
         cuts = [0, *accumulate(sizes)]
         scored = [
             (i, path, obj[a:b], s_all[a:b])
@@ -365,18 +412,19 @@ def _objective(u, v, j, target, code, lam, blind) -> tuple[np.ndarray, np.ndarra
     return np.square(target - s), s
 
 
-def _scan(u, v, line, target, code, lams, blind, extra) -> tuple[np.ndarray, ...]:
+def _scan(u, v, line, target, code, lams, blind, extra) -> tuple:
     """Each lambda's grid argmin of ``(target - s)**2``, and the score there, scoring what can win.
 
-    ``line`` is the grid's ``(j_lo, j_hi, grid_points)``; returns, per
-    lambda, the grid index, ``j``, score and objective of the argmin, the
-    same bits as ``_grid_at`` of that index and its scoring, then the
-    ``(len(lams), len(extra))`` objectives and scores of the list of points
-    ``extra``.  A zero-width interval and an exact tie ``u == v`` never get
-    here: ``_solve`` answers them on its one-point path.  The grid splits
-    into blocks between endpoints (see ``_layout``).  The first kernel call
-    scores, for every lambda, grid points 0 and ``last``, where most optima
-    lie, the endpoints between them, and ``extra``.  The score is monotone
+    ``line`` is the grid's ``(j_lo, j_hi, grid_points)``; returns four
+    lists with one entry per lambda, the grid index, ``j``, score and
+    objective of the argmin, as Python values with the bits of ``_grid_at``
+    of that index and its scoring, then the ``(len(lams), len(extra))``
+    objectives and scores of the list of points ``extra``.  A zero-width
+    interval and an exact tie ``u == v`` never get here: ``_solve`` answers
+    them on its one-point path.  The grid splits into blocks between
+    endpoints (see ``_layout``).  The first kernel call scores, for every
+    lambda, grid points 0 and ``last``, where most optima lie, the
+    endpoints between them, and ``extra``.  The score is monotone
     in ``j`` along the line (the lemma below), so every score at grid points
     ``1 .. last - 1`` lies in the hull of the scores at 1 and ``last - 1``,
     and every interior score of a block in the hull of its two endpoint
@@ -472,25 +520,35 @@ def _scan(u, v, line, target, code, lams, blind, extra) -> tuple[np.ndarray, ...
       rounded difference is monotone in its size, so no pruned point's
       objective can fall to the best one.
 
-    The first call lays its grid points out in grid order, by
-    the layout cached for the grid size.  The kept interiors are scored at
+    The first call writes its grid points, in grid order by the layout
+    cached for the grid size, and then ``extra`` into one buffer:
+    ``_grid_at`` fills the first part and ``struct.pack_into`` copies the
+    floats' bits into the rest.  The kept interiors are scored at
     most ``_BLOCK`` points per kernel call.  Each call scores its points as
     a ``(1, n)`` row against the column of all lambdas, with one
     ``combine``; each lambda's argmin follows the same rule: first in grid
-    order on a tie.
+    order on a tie.  Each lambda's argmin is read out with ``item``, which
+    gives a Python value with an element's bits, and the merge of a call
+    into the best so far compares those values lambda by lambda.
     """
     ends, index = _layout(line[2])
     n = len(index)
+    j = np.empty(n + len(extra))
+    _grid_at(index, *line, j[:n])
+    struct.pack_into(f"{len(extra)}d", j, 8 * n, *extra)
     lam = lams[:, None]
-    rows = np.arange(len(lams))
-    j = np.concatenate([_grid_at(index, *line), extra])
     obj, s = _objective(u, v, j[None], target, code, lam, blind)
-    m = obj[:, :n].argmin(1)
-    k, j_opt, s_opt, best = index[m], j[m], s[rows, m], obj[rows, m]
+    m = obj[:, :n].argmin(1).tolist()
+    rows = range(len(m))
+    best = list(map(obj.item, rows, m))
+    s_opt = list(map(s.item, rows, m))
+    j_opt = list(map(j.item, m))
+    k = list(map(index.item, m))
     obj_extra, s_extra = obj[:, n:], s[:, n:]
 
     # the whole range: the hull of the scores at grid points 1 and last - 1
-    for x, y, o in zip(s[:, 1].tolist(), s[:, n - 2].tolist(), best.tolist()):
+    for i, o in enumerate(best):
+        x, y = s.item(i, 1), s.item(i, n - 2)
         g = max(min(x, y) - _SLACK - target, target - (max(x, y) + _SLACK), 0.0)
         if g * g <= o:
             break
@@ -498,7 +556,7 @@ def _scan(u, v, line, target, code, lams, blind, extra) -> tuple[np.ndarray, ...
         return k, j_opt, s_opt, best, obj_extra, s_extra
 
     # the endpoints, columns 1 .. n - 2 of the first call
-    keep = _kept_blocks(s[:, 1:n - 1], j[1:n - 1], target, best)
+    keep = _kept_blocks(s[:, 1:n - 1], j[1:n - 1], target, np.array(best))
     if keep.any():
         pairs = zip(ends[:-1][keep].tolist(), ends[1:][keep].tolist())
         index = np.concatenate([np.arange(a + 1, b) for a, b in pairs])
@@ -506,14 +564,10 @@ def _scan(u, v, line, target, code, lams, blind, extra) -> tuple[np.ndarray, ...
             chunk = index[b:b + _BLOCK]
             j = _grid_at(chunk, *line)
             obj, s = _objective(u, v, j[None], target, code, lam, blind)
-            m = obj.argmin(1)
-            o, at = obj[rows, m], chunk[m]
-            win = (o < best) | ((o == best) & (at < k))
-            if win.any():
-                np.copyto(k, at, where=win)
-                np.copyto(j_opt, j[m], where=win)
-                np.copyto(s_opt, s[rows, m], where=win)
-                np.copyto(best, o, where=win)
+            for i, c in enumerate(obj.argmin(1).tolist()):
+                o, at = obj.item(i, c), chunk.item(c)
+                if o < best[i] or o == best[i] and at < k[i]:
+                    k[i], j_opt[i], s_opt[i], best[i] = at, j.item(c), s.item(i, c), o
     return k, j_opt, s_opt, best, obj_extra, s_extra
 
 
@@ -533,7 +587,7 @@ def _kept_blocks(s_ends, j_ends, target, best) -> np.ndarray:
     return (np.square(gap) <= best[:, None]).any(0) & (j_ends[:-1] != j_ends[1:])
 
 
-def _path(l, h, toward) -> tuple[list, list, list]:
+def _path(l, h, toward) -> tuple[list, list, float, float]:
     """The ternary steps from the bracket ``(l, h)`` to REFINE_TOL, predicted toward ``toward``.
 
     One step splits ``(l, h)`` at ``m1 = l + (h - l) / 3`` and ``m2 = h - (h
@@ -542,36 +596,54 @@ def _path(l, h, toward) -> tuple[list, list, list]:
     each step to keep ``(l, m2)`` where ``toward < 0.5 * (l + h)``, else
     ``(m1, h)``, which is the step the rule takes on a tie, and lays out the
     steps that follow from those predictions before any point is scored.
-    Toward ``l`` every step keeps ``(l, m2)`` and toward ``h`` every step
-    keeps ``(m1, h)``: the paths of an optimum on a bound of the grid.
+    Toward ``l`` or below it every step keeps ``(l, m2)``, since the
+    midpoint of a bracket wider than REFINE_TOL in [0, 1] lies strictly
+    above ``l``; toward ``h`` or above it every step keeps ``(m1, h)``.
+    Those are the paths of an optimum on a bound of the grid, laid out
+    without the prediction test: the kept end is the new ``m2`` or ``m1``.
 
     Returns the points to score, the ``n`` points ``m1``, the ``n`` points
     ``m2``, then the final check ``(l, 0.5 * (l + h), h)`` of the path's
     last bracket; ``left``, each step's prediction, True for ``(l, m2)``;
-    and ``other``, the end of each step's bracket that its predicted step
-    drops and a step the other way keeps.
+    and the first bracket's ``l`` and ``h``, from which ``_walk`` retraces
+    the bracket of a step that turns.
     """
-    m1s, m2s, left, other = [], [], [], []
-    while (width := h - l) > REFINE_TOL:
-        third = width / 3.0
-        m1s.append(l + third)
-        m2s.append(h - third)
-        if toward < 0.5 * (l + h):
-            left.append(True)
-            other.append(h)
+    m1s, m2s = [], []
+    start = l, h
+    if toward <= l:
+        while (width := h - l) > REFINE_TOL:
+            third = width / 3.0
+            m1s.append(l + third)
             h -= third
-        else:
-            left.append(False)
-            other.append(l)
+            m2s.append(h)
+        left = [True] * len(m1s)
+    elif toward >= h:
+        while (width := h - l) > REFINE_TOL:
+            third = width / 3.0
+            m2s.append(h - third)
             l += third
-    return m1s + m2s + [l, 0.5 * (l + h), h], left, other
+            m1s.append(l)
+        left = [False] * len(m1s)
+    else:
+        left = []
+        while (width := h - l) > REFINE_TOL:
+            third = width / 3.0
+            m1s.append(l + third)
+            m2s.append(h - third)
+            if toward < 0.5 * (l + h):
+                left.append(True)
+                h -= third
+            else:
+                left.append(False)
+                l += third
+    return m1s + m2s + [l, 0.5 * (l + h), h], left, *start
 
 
 def _walk(path, obj, s, target):
     """Walk ``path`` on its points' objectives ``obj`` and scores ``s``; the next path, or None.
 
-    ``obj`` and ``s`` are lists of Python floats, in the order of the path's
-    points.
+    ``obj`` is a list of Python floats and ``s`` an array, in the order of
+    the path's points.
 
     The walk takes each step by the rule, ``obj(m1) < obj(m2)`` on the
     scored objectives, up to the first step that goes against the
@@ -585,15 +657,20 @@ def _walk(path, obj, s, target):
     monotone and nearly linear across a bracket.  Two equal scores predict
     the rule's tie step, toward ``h``.
     """
-    points, left, other = path
+    points, left, l, h = path
     n = len(left)
-    steps = list(map(operator.lt, obj[:n], obj[n:2 * n]))
+    steps = list(map(operator.lt, obj, obj[n:2 * n]))  # map stops at the n steps
     if steps == left:
         return None
     t = next(t for t in range(n) if steps[t] != left[t])
+    for m1, m2, go in zip(points, points[n:n + t], left):  # retrace to step t's bracket
+        if go:
+            h = m2
+        else:
+            l = m1
     m1, m2 = points[t], points[n + t]
-    l, h = (m1, other[t]) if left[t] else (other[t], m2)
-    s1, s2 = s[t], s[n + t]
+    l, h = (m1, h) if left[t] else (l, m2)  # the step the rule takes
+    s1, s2 = s.item(t), s.item(n + t)
     toward = h if s1 == s2 else m1 + (target - s1) * (m2 - m1) / (s2 - s1)
     return _path(l, h, toward)
 
@@ -616,13 +693,8 @@ def _solution(j_opt, s_opt, patient_pain, j_lo, j_hi, confusion_threshold) -> Pa
     width = j_hi - j_lo
     confusion = 0.0 if width <= 0.0 else min(1.0, max(0.0, (j_opt - j_lo) / width))
     return PainSolution(
-        j_opt=j_opt,
-        s_opt=s_opt,
-        nurse_pain=nurse_pain,
-        patient_pain=patient_pain,
-        gap=nurse_pain - patient_pain,
-        confusion_ratio=confusion,
-        recommendation=_recommendation(confusion, confusion_threshold),
+        j_opt, s_opt, nurse_pain, patient_pain, nurse_pain - patient_pain, confusion,
+        _recommendation(confusion, confusion_threshold),
     )
 
 
@@ -642,7 +714,7 @@ def solve_programming1(
     _check_grid(grid_points)
     confusion_threshold = _check_unit(confusion_threshold, "threshold")
     patient_pain = _check_unit(patient_pain, "patient pain")
-    j_lo, j_hi = joint_bounds(u, v)
+    u, v, j_lo, j_hi = clamped_bounds(u, v)
     target = 1.0 - patient_pain
     j, s = _solve(
         u, v, j_lo, j_hi, target, order_code(params.p), np.array([params.lam]), grid_points
@@ -687,7 +759,7 @@ def _sweep(u, v, patient_pain, p_list, lambda_grid, grid_points, blind=False) ->
     """
     _check_grid(grid_points)
     target = 1.0 - _check_unit(patient_pain, "patient pain")
-    j_lo, j_hi = joint_bounds(u, v)
+    u, v, j_lo, j_hi = clamped_bounds(u, v)
     lams = check_lambdas(lambda_grid)
     rows = []
     for p in p_list:

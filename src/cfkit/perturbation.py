@@ -110,24 +110,41 @@ class TrialDistances(NamedTuple):
     delta_d_c: float
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    index: int
-    epsilon: float
-    # keyed by (p, lambda)
-    cells: dict[tuple, TrialDistances] = field(repr=False)
+def __getattr__(name):
+    """``TrialRecord`` and ``CellSummary``, defined on their first use (PEP 562).
 
+    They serve only the ``records`` and ``summary`` views, which ``cfkit
+    simulate`` never reads, and building a dataclass is most of this
+    module's import time.  Each is defined once and kept as a module global,
+    so every lookup, ``from cfkit.perturbation import TrialRecord`` and
+    pickle included, finds the same class.
+    """
+    if name not in ("TrialRecord", "CellSummary"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in globals():  # a call from the views below, after the first use
+        return globals()[name]
 
-@dataclass(frozen=True)
-class CellSummary:
-    mean_delta_m: float
-    mean_delta_h: float
-    mean_delta_c: float
-    max_delta_m: float
-    max_delta_h: float
-    max_delta_c: float
-    n_m_ge_h: int
-    n_m_ge_c_ge_h: int
+    class TrialRecord:
+        index: int
+        epsilon: float
+        # keyed by (p, lambda)
+        cells: dict[tuple, TrialDistances] = field(repr=False)
+
+    class CellSummary:
+        mean_delta_m: float
+        mean_delta_h: float
+        mean_delta_c: float
+        max_delta_m: float
+        max_delta_h: float
+        max_delta_c: float
+        n_m_ge_h: int
+        n_m_ge_c_ge_h: int
+
+    for cls in (TrialRecord, CellSummary):
+        cls.__qualname__ = cls.__name__  # as at module level, for pickle, repr and errors
+        # setdefault keeps the first definition where two threads race here
+        globals().setdefault(cls.__name__, dataclass(frozen=True)(cls))
+    return globals()[name]
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,20 +181,22 @@ class StudyResult:
     @property
     def records(self) -> list[TrialRecord]:
         """One ``TrialRecord`` per trial."""
+        record = __getattr__("TrialRecord")
         columns = self.columns
         cells = np.stack(list(columns.values()), axis=1).tolist()
         return [
-            TrialRecord(i, e, {key: TrialDistances(*c) for key, c in zip(columns, row)})
+            record(i, e, {key: TrialDistances(*c) for key, c in zip(columns, row)})
             for i, (e, row) in enumerate(zip(self.epsilons.tolist(), cells))
         ]
 
     @property
     def summary(self) -> dict[tuple, CellSummary]:
         """One ``CellSummary`` per (p, lambda) cell."""
+        cell = __getattr__("CellSummary")
         summary = {}
         for (p, lam), c in self.delta_d_c.items():
             m, h = self.delta_d_m[p], self.delta_d_h
-            summary[(p, lam)] = CellSummary(
+            summary[(p, lam)] = cell(
                 *(float(x.mean()) for x in (m, h, c)), *(float(x.max()) for x in (m, h, c)),
                 n_m_ge_h=int(np.count_nonzero(m >= h)),
                 n_m_ge_c_ge_h=int(np.count_nonzero((m >= c) & (c >= h))),

@@ -77,6 +77,40 @@ print(",".join(m for m in {NOT_FOR_SIMULATE!r} if m in sys.modules) or "-")
     assert (tmp_path / "study.csv").read_text().count("\n") == 1 + 5 * 3 * 5
 
 
+def test_simulate_builds_no_record_classes(tmp_path):
+    # TrialRecord and CellSummary serve only a study's records and summary
+    # views, which simulate never reads, so they are defined on first use.
+    code = f"""
+import cfkit.cli
+import cfkit.perturbation as perturbation
+argv = ["simulate", "--pair", "0.8,0.4,0.32", "0.1,0.9,0.09", "--trials", "5",
+        "--out", {str(tmp_path / "study.csv")!r}]
+assert cfkit.cli.main(argv) == 0
+print(",".join(n for n in ("TrialRecord", "CellSummary") if n in vars(perturbation)) or "-")
+"""
+    assert run(code) == ["-"]
+
+
+def test_record_classes_are_defined_once():
+    code = """
+import dataclasses, pickle
+import cfkit
+import cfkit.perturbation as perturbation
+from cfkit.perturbation import CellSummary, TrialRecord
+record = TrialRecord(3, 0.25, {})
+config = cfkit.PerturbationConfig((cfkit.CFN(0.8, 0.4, 0.32), cfkit.CFN(0.1, 0.9, 0.09)), trials=3)
+study = cfkit.run_study(config)
+print(cfkit.TrialRecord is TrialRecord is perturbation.TrialRecord is type(study.records[0]),
+      perturbation.CellSummary is CellSummary is type(study.summary[(1, 0.0)]),
+      pickle.loads(pickle.dumps(record)) == record,
+      repr(record) == "TrialRecord(index=3, epsilon=0.25)",
+      all(dataclasses.is_dataclass(c) and c.__dataclass_params__.frozen
+          for c in (TrialRecord, CellSummary)),
+      [f.name for f in dataclasses.fields(CellSummary)][-2:] == ["n_m_ge_h", "n_m_ge_c_ge_h"])
+"""
+    assert run(code) == ["True"] * 6
+
+
 def test_import_loads_numpy_and_no_submodule():
     code = "import sys, cfkit; print(sorted(m for m in sys.modules if m.startswith('cfkit')), 'numpy' in sys.modules)"
     assert run(code) == ["['cfkit']", "True"]

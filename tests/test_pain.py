@@ -150,6 +150,9 @@ def reference_score(u, v, j, code, lam):
 # u at 1: j_hi - j_lo = 1.1e-16, so the grid holds three distinct values of j.
 ULPS_WIDE = (1.0, 0.2991984594656608)
 
+# u one ulp above v: every score is 0.5 up to rounding.
+ONE_ULP_APART = (0.26161213424931645, 0.2616121342493164)
+
 # A p=64 pair within 1e-5 of the best anchor: the norms to it of the grid's
 # rows, the pruning blocks' endpoints among them, take the underflow rescue
 # of backends._finish.
@@ -266,6 +269,10 @@ class TestSolveMatchesReference:
     # blocks have the same j at both endpoints, so only the equal-j check
     # prunes them
     @example(uv=ULPS_WIDE, target=0.9, p=3, lams=np.array([0.0, 0.5, 1.0]), blind=False)
+    # u one ulp above v, the target below 0.5: the first call lays out only
+    # the path toward j_hi, but the scores tie and grid point 0 wins at grid
+    # 101, so a later call scores the bracket at j_lo
+    @example(uv=ONE_ULP_APART, target=0.3, p=4, lams=np.array([1.0]), blind=False)
     def test_bitwise(self, grid_points, uv, target, p, lams, blind):
         u, v = uv
         j_lo, j_hi = joint_bounds(u, v)
@@ -304,7 +311,9 @@ class TestSolveMatchesReference:
         assert j_opt.tolist() == [0.07]  # j_hi, the last grid point
         # The one call scores grid points 0 and last, the block endpoints
         # between them, and both end brackets' paths toward their bounds
-        # with their final checks.  The hull of the scores at grid points 1
+        # with their final checks: u < v puts every score below 0.5, where
+        # the target lies too, so either end could hold the optimum.  The
+        # hull of the scores at grid points 1
         # and last - 1 prunes every block at once, and the walk toward j_hi
         # takes every step of its path and reads its final check from that
         # call, so nothing else is scored.
@@ -316,6 +325,46 @@ class TestSolveMatchesReference:
         points = 4 + (grid_points - 3) // pain._SPAN
         assert len(pain._layout(grid_points)[1]) == points
         assert calls == [points + len(lower[0]) + len(upper[0])]
+
+    @pytest.mark.parametrize("uv, target", [((0.86, 0.07), 12 / 70), ((0.07, 0.86), 0.9),
+                                            ((0.4, 0.7), 0.5)])
+    @pytest.mark.parametrize("lams", [np.array([0.5]), np.linspace(0.0, 1.0, 21)])
+    def test_target_across_half_lays_out_the_upper_path_alone(self, uv, target, lams,
+                                                             monkeypatch):
+        # Every score lies on u's side of 0.5 and moves toward 0.5 as j
+        # grows.  With the target on the other side (or at 0.5), the optimum
+        # is j_hi, so the one call scores the path toward j_hi and not the
+        # one toward j_lo.
+        calls = self.kernel_calls(monkeypatch)
+        u, v = uv
+        grid_points = 10001
+        line = (*joint_bounds(u, v), grid_points)
+        args = (u, v, *line[:2], target, 3, lams, grid_points)
+        got = pain._solve(*args)
+        first = calls[:]
+        assert [x.tolist() for x in got] == [x.tolist() for x in reference_solve(*args)]
+        assert got[0].tolist() == [line[1]] * len(lams)
+        upper = pain._path(pain._point(grid_points - 2, *line), line[1], line[1])
+        assert first == [len(pain._layout(grid_points)[1]) + len(upper[0])]
+
+    def test_grid_optimum_at_j_lo_without_its_path(self, monkeypatch):
+        # Predicted toward j_hi, but at one ulp apart the scores tie, and
+        # grid point 0 is the first of the least objectives.  After the first
+        # call and the one block's interior, grid points 2 .. last - 2, the
+        # bracket at j_lo is laid out toward j_lo and scored in one call.
+        calls = self.kernel_calls(monkeypatch)
+        u, v = ONE_ULP_APART
+        grid_points = 101
+        line = (*joint_bounds(u, v), grid_points)
+        args = (u, v, *line[:2], 0.3, 4, np.array([1.0]), grid_points)
+        want = reference_solve(*args)
+        calls.clear()
+        got = pain._solve(*args)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
+        upper = pain._path(pain._point(grid_points - 2, *line), line[1], line[1])
+        lower = pain._path(line[0], pain._point(1, *line), line[0])
+        first = len(pain._layout(grid_points)[1]) + len(upper[0])
+        assert calls[:3] == [first, grid_points - 4, len(lower[0])]
 
     @pytest.mark.parametrize("uv, target, lams, pruned", [
         # optima on j_hi and on j_lo, for 1 and for 21 lambdas
@@ -585,9 +634,11 @@ def ascending_indices(draw):
     return grid_points, np.array(sorted(picked | ({last} if with_last else set())))
 
 
-# Minor page faults per solve over 400 solves that follow 40 warm-up ones.
-# Each step pairs a solve whose scan keeps few blocks with an all-ties one
-# (u == v at lambda = 0), which takes the one-point path.
+# Minor page faults per solve over 600 solves that follow 60 warm-up ones.
+# Each step takes a solve whose scan keeps few blocks, an all-ties one (u ==
+# v at lambda = 0), which takes the one-point path, and a near tie (|u - v| =
+# 1e-12 at lambda = 0), whose scan keeps every block and scores them
+# pain._BLOCK points per kernel call.
 FAULTS_PER_SOLVE = """
 import resource
 import cfkit
@@ -597,13 +648,14 @@ def solve(i):
     params = cfkit.DistanceParams(p=p, lam=(i % 21) / 20)
     cfkit.solve_programming1(0.3 + 0.001 * (i % 50), 0.4, 0.5, params)
     cfkit.solve_programming1(0.3, 0.3, 0.2, cfkit.DistanceParams(p=p, lam=0.0))
+    cfkit.solve_programming1(0.3, 0.3 + 1e-12, 0.2, cfkit.DistanceParams(p=p, lam=0.0))
 
 for i in range(20):
     solve(i)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for i in range(200):
     solve(i)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 400)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 600)
 """
 
 
@@ -660,6 +712,40 @@ class TestGridScan:
         stop = min(1.0, start + width)
         want = np.linspace(start, stop, grid_points)[index]
         assert pain._grid_at(index, start, stop, grid_points).tobytes() == want.tobytes()
+        out = np.full(len(index) + 2, np.nan)  # into a view, as the scan's first call does
+        pain._grid_at(index, start, stop, grid_points, out[1:-1])
+        assert out[1:-1].tobytes() == want.tobytes() and np.isnan(out[[0, -1]]).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(l=st.floats(0.0, 1.0), width=WIDTHS,
+           toward=st.sampled_from(["l", "h", "below", "above", "inside"]))
+    @example(l=0.0, width=7e-6, toward="l")
+    @example(l=0.0, width=7e-6, toward="h")
+    def test_path_follows_the_predicted_steps(self, l, width, toward):
+        # Toward l or below it every step keeps (l, m2); toward h or above it
+        # every step keeps (m1, h).  pain._path lays those paths out without
+        # the prediction test, bit for bit as the test would.
+        h = min(1.0, l + width)
+        point = {"l": l, "h": h, "below": l - 0.25, "above": h + 0.25,
+                 "inside": l + 0.3 * (h - l)}[toward]
+        m1s, m2s, left = [], [], []
+        a, b = l, h
+        while (w := b - a) > REFINE_TOL:
+            third = w / 3.0
+            m1s.append(a + third)
+            m2s.append(b - third)
+            left.append(point < 0.5 * (a + b))
+            if left[-1]:
+                b -= third
+            else:
+                a += third
+        points, got_left, *start = pain._path(l, h, point)
+        assert points == m1s + m2s + [a, 0.5 * (a + b), b]
+        assert got_left == left and start == [l, h]
+        if toward in ("l", "below"):
+            assert left == [True] * len(left)
+        elif toward in ("h", "above"):
+            assert left == [False] * len(left)
 
     def test_layout_is_built_once_per_grid_size(self):
         pain._layout.cache_clear()
@@ -944,6 +1030,25 @@ class TestSolver:
         solution_pinned = solve_programming1(0.0, 0.0, 0.2, CASE_PARAMS)
         assert solution_pinned.j_opt == 0.0
         assert solution_pinned.confusion_ratio == 0.0
+
+    # Similarities within CLAMP_TOL outside [0, 1] are clamped by the bounds'
+    # check; the solver scores the clamped values, so a u above 1 gives no
+    # CFN with a negative hesitancy, and (1 + 5e-10, 1.0) is an exact tie.
+    @pytest.mark.parametrize("u, v", [
+        (1.0 + 5e-10, 0.3), (0.3, 1.0 + 5e-10), (-5e-10, 0.6), (0.6, -5e-10),
+        (1.0 + 5e-10, -5e-10), (1.0 + 5e-10, 1.0), (-5e-10, 0.0),
+    ])
+    def test_solves_the_clamped_similarities(self, u, v):
+        cu, cv = (min(1.0, max(0.0, x)) for x in (u, v))
+        for p, lam in [(3, 0.5), (1, 0.0), (CHEBYSHEV, 1.0)]:
+            params = DistanceParams(p=p, lam=lam)
+            got = solve_programming1(u, v, 0.5, params)
+            assert repr(got) == repr(solve_programming1(cu, cv, 0.5, params))
+        orders, lams = [1, 3, CHEBYSHEV], np.linspace(0.0, 1.0, 5)
+        got = sensitivity_sweep(u, v, 0.4, orders, lams, grid_points=1001)
+        assert repr(got) == repr(sensitivity_sweep(cu, cv, 0.4, orders, lams, grid_points=1001))
+        got = legacy_comparison_sweep(u, v, 0.4, orders, grid_points=1001)
+        assert repr(got) == repr(legacy_comparison_sweep(cu, cv, 0.4, orders, grid_points=1001))
 
     def test_validation(self):
         with pytest.raises(OutOfRangeError):
