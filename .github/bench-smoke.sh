@@ -4,16 +4,11 @@
 # whose result is not `correct`.
 #
 # pain-clinic runs on seven seeds, 1,750 assessments in all, to check the
-# solver's control flow on more brackets, seeds 21 and 57 among them, the
+# solver's control flow on more inputs, seeds 21 and 57 among them, the
 # streams its speed was last measured on: the one-point path, which the
-# clinic streams' zero-width intervals take, the grid scan's whole-range
-# check, which stops the scan where the hull of the scores at grid points 1
-# and last - 1 cannot reach the best objective, its two prunes, of a block by
-# the hull of its endpoint scores and of a block whose two endpoints have the
-# same j, the first call's end paths, of which it lays out only the one
-# toward j_hi where the target lies across 0.5 from every score, and the
-# refinement's walk along predicted ternary paths, the re-predictions after
-# a turn included.
+# clinic streams' zero-width intervals take, the answers on a bound, which
+# the first kernel call decides from the scores at j_lo and j_hi, and the
+# root find's interpolation rounds and their fallbacks inside the interval.
 # simulate-study runs on three seeds: it checks the study's distinct-column
 # storage and its CSV writer against the reference on three pairs and
 # epsilon streams, including the d_c cells that share the d_h or d_m arrays

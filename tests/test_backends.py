@@ -69,7 +69,7 @@ class TestLegacyAsBlindScore:
 
     @pytest.mark.parametrize("p_code", range(0, 65))
     def test_blind_line_score_is_legacy_score(self, p_code):
-        # the pain solver's legacy sweep scores its grid and refinement this way
+        # the pain solver's legacy sweep scores every point of its root find this way
         rng = np.random.default_rng(18)
         # (1e-6, 1 - 1e-6) puts every row within 2e-6 of the worst anchor, and
         # (1, 1e-7) within 2e-7 of the best one; (0, 1) and (1, 0) are the anchors

@@ -120,7 +120,7 @@ class TestNormalizer:
     """``d(f, worst) + d(f, best) >= d(worst, best) >= 1`` by the triangle
     inequality, so ``score.scores`` never divides by a collapsed normalizer.
     Each computed distance is within 1e-14 of the exact one (see
-    ``pain._scan``), hence the slack."""
+    ``pain._solve``), hence the slack."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(ANY_CFNS, min_size=1, max_size=20), st.integers(0, 64), LAMBDAS)
