@@ -5,10 +5,10 @@
 #
 # pain-clinic runs on seven seeds, 1,750 assessments in all, to check the
 # solver's control flow on more inputs, seeds 21 and 57 among them, the
-# streams its speed was last measured on: the one-point path, which the
-# clinic streams' zero-width intervals take, the answers on a bound, which
-# the first kernel call decides from the scores at j_lo and j_hi, and the
-# root find's interpolation rounds and their fallbacks inside the interval.
+# streams its speed was last measured on: the zero-width intervals of the
+# clinic streams and the answers on a bound, which the first kernel call
+# decides from the scores at j_lo and j_hi, and the root find's
+# interpolation rounds and their fallbacks inside the interval.
 # simulate-study runs on three seeds: it checks the study's distinct-column
 # storage and its CSV writer against the reference on three pairs and
 # epsilon streams, including the d_c cells that share the d_h or d_m arrays

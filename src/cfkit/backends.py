@@ -22,12 +22,12 @@ p_code)`` takes the anchor terms of many rows, ``|u*|, |u* - 1|, |v* - 1|,
 |v*|, |j|, |h|``, whose rows 0:2 and 2:4 are (worst, best) pairs, and
 returns the Minkowski norms and Chebyshev terms ``(norm, cheb)``, each ``(2,
 ...)``, to the worst anchor ``(0, 1, 0, 0)`` and the best ``(1, 0, 0, 0)``:
-one array axis through the powers, sum, root and max.  ``combine(parts,
-lam)`` mixes them with ``mix``, the one place that computes ``lam * norm +
-(1 - lam) * cheb`` for every caller, and ``ratio`` turns the distances into
-the score.  A caller that scores the same rows under many lambdas computes
-the parts once; a column of lambdas needs an axis on them, ``(2, 1, n)``
-against ``(L, 1)``.
+one array axis through the powers, sum, root and max.  ``mix(lam, norm,
+cheb)``, the one place that computes ``lam * norm + (1 - lam) * cheb`` for
+every caller, turns them into one ``(2, ...)`` array of the distances to
+both anchors, and ``ratio`` turns that into the score.  A caller that
+scores the same rows under many lambdas computes the parts once; a column
+of lambdas needs an axis on them, ``(2, 1, n)`` against ``(L, 1)``.
 
 The terms come from one of two builders.  ``anchor_parts(rows, p_code)``
 takes them of ``(n, 4)`` component rows and is the ``terms_parts`` of
@@ -44,10 +44,6 @@ import numpy as np
 CHEBYSHEV_CODE = 0
 
 _TINY = np.finfo(np.float64).tiny
-# Elements of the largest array that ``combine`` mixes for both anchors at
-# once: 128 KiB, glibc's default mmap threshold.  A larger mix is made one
-# anchor at a time, so its arrays are no larger than one anchor's rows.
-_MIX_MAX = 16384
 
 # The six distinct anchor terms, as (component, anchor value) pairs:
 # |u* - 0| and |u* - 1|, then |v* - 1| and |v* - 0|, each a (worst, best)
@@ -138,11 +134,11 @@ def legacy_pairwise(a, b, p_code: int) -> np.ndarray:
     """Row-wise Minkowski distance over (u*, v*, j) only.
 
     That is ``cfim_pairwise`` of the rows with their hesitancy zeroed, bit
-    for bit: a zero term adds nothing to the power sum or to the max.
+    for bit: a zero term adds nothing to the power sum, the max or the
+    underflow rescue.
     """
-    a, b = _rows(a).copy(), _rows(b).copy()
-    a[:, 3] = b[:, 3] = 0.0
-    return cfim_pairwise(a, b, p_code)
+    a, b = _rows(a), _rows(b)
+    return _norm([np.abs(a[:, i] - b[:, i]) for i in range(3)], p_code)
 
 
 def cfh_pairwise(a, b) -> np.ndarray:
@@ -209,28 +205,7 @@ def mix(lam, norm, cheb) -> np.ndarray:
     return d
 
 
-def combine(parts, lam):
-    """``mix`` of the parts: the distances to the worst and to the best anchor.
-
-    ``lam`` is one value or an array that broadcasts against each anchor's
-    parts, so a column of lambdas needs an axis on them.  Returns one ``(2,
-    ...)`` array, or one array per anchor where their mix passes ``_MIX_MAX``
-    elements.  A column of one lambda is mixed as its value, a Python float:
-    it broadcasts to the same shape, and numpy multiplies by a float faster
-    than by a broadcast array.
-    """
-    norm, cheb = parts
-    size = norm.size  # of the mix: one value, or one lambda per point, keeps the parts' shape
-    if getattr(lam, "ndim", 0) == 2:  # a column, against parts with an axis for it
-        size *= len(lam)
-        if lam.size == 1:
-            lam = lam.item()
-    if size > _MIX_MAX:
-        return mix(lam, norm[0], cheb[0]), mix(lam, norm[1], cheb[1])
-    return mix(lam, norm, cheb)
-
-
 def ratio(distances) -> np.ndarray:
-    """Score ``d_worst / (d_worst + d_best)`` of a ``combine`` result."""
+    """Score ``d_worst / (d_worst + d_best)`` of the ``(2, ...)`` distances of ``mix``."""
     s = distances[0] + distances[1]
     return np.divide(distances[0], s, out=s)

@@ -207,7 +207,7 @@ def _batch_blocks(path, measure, params):
     The file is read once, from start to end, so a pipe or FIFO reads as a
     regular file does.
     """
-    skip = rows = 0  # lines and rows read in bulk
+    skip = 0  # lines read in bulk
     with open(path, newline="") as fh:
         while True:
             lines, error = _read_lines(fh)
@@ -219,20 +219,18 @@ def _batch_blocks(path, measure, params):
             if len(pair[0]):
                 yield _distance_lines(measure, params, *pair)
             skip += len(lines)
-            rows += len(pair[0])
         rest = fh if error is None else _fail(error)
-        yield from _csv_blocks(path, chain(lines, rest), skip, rows, measure, params)
+        yield from _csv_blocks(path, chain(lines, rest), skip, measure, params)
 
 
-def _csv_blocks(path, lines, skip, rows, measure, params):
+def _csv_blocks(path, lines, skip, measure, params):
     """``_batch_blocks`` of ``lines``, read row by row with ``csv.reader``.
 
-    ``lines`` follow the first ``skip`` lines of the file, which hold
-    ``rows`` valid rows.  Blocks end every ``_BLOCK`` rows counted from the
-    start of the file, as if the whole file had been read row by row.
+    ``lines`` follow the first ``skip`` lines of the file, which are valid
+    rows or blank.  Each error branch first checks the rows read before it,
+    so the error reported is the first in the file.
     """
     values, line_nums = array("d"), array("q")
-    size = _BLOCK - rows % _BLOCK
     reader = csv.reader(lines)
     try:
         for row in reader:
@@ -253,15 +251,16 @@ def _csv_blocks(path, lines, skip, rows, measure, params):
                 message = f"{path} line {line}{text}: {exc}"
                 raise _located(type(exc), message, file=path, line=line, **field) from exc
             line_nums.append(line)
-            if len(line_nums) == size:
+            if len(line_nums) == _BLOCK:
                 yield _distance_lines(measure, params, *_block_rows(path, values, line_nums))
-                values, line_nums, size = array("d"), array("q"), _BLOCK
+                values, line_nums = array("d"), array("q")
     except csv.Error as exc:
         # a line the reader cannot split, such as a field over csv.field_size_limit()
         _block_rows(path, values, line_nums)
         line = skip + reader.line_num
         raise _located(ValueError, f"{path} line {line}: {exc}", file=path, line=line) from exc
     except UnicodeDecodeError as exc:  # the decoder reads ahead, so no line is known
+        _block_rows(path, values, line_nums)
         exc.where = {"file": path}
         raise
     if line_nums:
@@ -376,6 +375,8 @@ def _run_pain_eval(args) -> int:
 def _run_sweep(args) -> int:
     from .figures import trend_rows
 
+    if args.lambda_points < 1:
+        raise ValueError(f"--lambda-points must be at least 1, got {args.lambda_points}")
     grid = np.linspace(0.0, 1.0, args.lambda_points)
     rows = trend_rows((args.f1, args.f2), args.p if args.p else (1,), grid)
     _write_rows(args.out, ("p", "lambda", "d_m", "d_h", "d_c"), rows)

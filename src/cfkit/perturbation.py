@@ -75,9 +75,9 @@ class PerturbationConfig:
         if not isinstance(f1, CognitiveFuzzyNumber) or not isinstance(f2, CognitiveFuzzyNumber):
             raise OutOfRangeError("base_pair must hold two CognitiveFuzzyNumbers")
         object.__setattr__(self, "base_pair", (f1, f2))
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
             raise OutOfRangeError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise OutOfRangeError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.p_values:
             raise OutOfRangeError("p_values must not be empty")

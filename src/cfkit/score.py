@@ -49,7 +49,7 @@ def scores(rows, code: int, lam) -> tuple:
     parts = backends.anchor_parts(rows, code)
     if getattr(lam, "ndim", 0) == 2:
         parts = [x[:, None] for x in parts]
-    d = backends.combine(parts, lam)
+    d = backends.mix(lam, *parts)
     return backends.ratio(d), d[0], d[1]
 
 

@@ -36,7 +36,7 @@ class TestScalarMatchesBatch:
         for p in (1, 2, 3):
             for lam in (0.0, 0.4, 1.0):
                 parts = backends.anchor_parts(rows, order_code(p))
-                batch = backends.ratio(backends.combine(parts, lam))
+                batch = backends.ratio(backends.mix(lam, *parts))
                 params = DistanceParams(p=p, lam=lam)
                 for i, f in enumerate(fs):
                     assert score(f, params).s == batch[i]
@@ -64,7 +64,7 @@ class TestLegacyAsBlindScore:
     def test_score_without_hesitancy_is_legacy_score(self, p_code):
         rows = np.vstack([random_component_rows(np.random.default_rng(15), 500), NEAR_ANCHORS])
         rows[:, 3] = 0.0
-        s = backends.ratio(backends.combine(backends.anchor_parts(rows, p_code), 1.0))
+        s = backends.ratio(backends.mix(1.0, *backends.anchor_parts(rows, p_code)))
         assert np.array_equal(s, _legacy_score(rows, p_code))
 
     @pytest.mark.parametrize("p_code", range(0, 65))
@@ -77,11 +77,11 @@ class TestLegacyAsBlindScore:
         for u, v in pairs + [tuple(rng.random(2).tolist()) for _ in range(5)]:
             j = np.linspace(*joint_bounds(u, v), 101)
             terms = backends.line_terms(u, v, j, True)
-            s = backends.ratio(backends.combine(backends.terms_parts(terms, p_code), 1.0))
+            s = backends.ratio(backends.mix(1.0, *backends.terms_parts(terms, p_code)))
             assert np.array_equal(s, _legacy_score(solver_rows(u, v, j, True), p_code))
 
     def test_legacy_leaves_its_rows_unchanged(self):
-        # legacy_pairwise zeroes the hesitancy of copies of its rows
+        # legacy_pairwise reads its rows and writes none of them
         rng = np.random.default_rng(19)
         a, b = random_component_rows(rng, 50), random_component_rows(rng, 50)
         want = a.copy(), b.copy()
@@ -96,7 +96,7 @@ class TestAnchorParts:
         rows = np.vstack([random_component_rows(rng, 300), NEAR_ANCHORS, WORST_ROW, BEST_ROW])
         parts = backends.anchor_parts(rows, p_code)
         for lam in (0.0, 0.35, 1.0, rng.uniform(0.0, 1.0, len(rows))):
-            got = backends.combine(parts, lam)
+            got = backends.mix(lam, *parts)
             for d, anchor in zip(got, (WORST_ROW, BEST_ROW)):
                 anchors = np.tile(anchor, (len(rows), 1))
                 expected = lam * backends.cfim_pairwise(rows, anchors, p_code) + (
@@ -144,28 +144,6 @@ class TestAnchorParts:
             assert shapes == [(2, 1, 101)]
             assert norm.shape == cheb.shape == (2, 1, 101)
             assert np.all(norm > 0.0)
-
-    # 300 rows under 21 lambdas mix in one array, 1,000 rows one anchor at a
-    # time; one lambda per row mixes both anchors at once at either size.
-    @pytest.mark.parametrize("n", [300, 1000])
-    def test_combine_is_mix_of_each_anchor(self, n):
-        rng = np.random.default_rng(21)
-        norm, cheb = backends.anchor_parts(random_component_rows(rng, n), 3)
-        for lam in (0.35, rng.uniform(0.0, 1.0, n)):
-            got = backends.combine((norm, cheb), lam)
-            assert isinstance(got, np.ndarray) and got.shape == (2, n)
-            for a in (0, 1):
-                assert got[a].tobytes() == backends.mix(lam, norm[a], cheb[a]).tobytes()
-        # A column of lambdas against (2, 1, n) parts; with 2 lambdas a
-        # (2, 1) column against (2, n) parts would broadcast without error.
-        for count in (2, 21):
-            column = rng.uniform(0.0, 1.0, (count, 1))
-            got = backends.combine((norm[:, None], cheb[:, None]), column)
-            assert isinstance(got, np.ndarray) == (2 * count * n <= backends._MIX_MAX)
-            for a in (0, 1):
-                want = backends.mix(column, norm[a], cheb[a])
-                assert want.shape == got[a].shape == (count, n)
-                assert got[a].tobytes() == want.tobytes()
 
 
 def _naive_pow(x, p):

@@ -273,12 +273,14 @@ def test_error_in_file_the_bulk_reader_parses(capsys, tmp_path, text, message):
         # the unreadable row is in the first 8 KiB the reader decodes, the
         # byte that is not UTF-8 in a later one
         (GOOD * 5 + "0.3,abc,0.1,1,0,0\n" + GOOD * 600, "line 6, field v1"),
+        # the same with a row that reads but holds an invalid CFN
+        (GOOD * 5 + "0.3,0.2,0.5,1,0,0\n" + GOOD * 600, "line 6, first CFN u1,v1,j1"),
         # 92 blank lines in the first block of lines: the invalid row and
         # the end of the first 8192 rows come before the undecodable byte
         ("\n" * 92 + GOOD * 8100 + GOOD * 49 + "0.3,0.2,0.5,1,0,0\n" + GOOD * 700,
          f"line {92 + 8150}, first CFN u1,v1,j1: joint degree 0.5"),
     ],
-    ids=["unreadable-row", "invalid-row"],
+    ids=["unreadable-row", "invalid-row-first-block", "invalid-row"],
 )
 def test_error_before_undecodable_byte(capsys, tmp_path, text, message):
     path = tmp_path / "pairs.csv"

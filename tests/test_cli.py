@@ -504,6 +504,19 @@ class TestSweepCommand:
         assert float(rows[0]["d_c"]) == pytest.approx(0.73, abs=1e-12)
         assert float(rows[-1]["d_c"]) == pytest.approx(1.46, abs=1e-12)
 
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_lambda_points_below_one(self, capsys, tmp_path, points):
+        out_file = tmp_path / "trend.csv"
+        code, _, err = run(
+            capsys, "sweep", "--lambda-points", points, "--out", str(out_file),
+            "0.8,0.4,0.32", "0.1,0.9,0.09",
+        )
+        assert code == 1 and not out_file.exists()
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"--lambda-points must be at least 1, got {points}",
+        }
+
 
 class TestExportFigures:
     def test_deterministic_and_complete(self, capsys, tmp_path):

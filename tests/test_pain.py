@@ -100,7 +100,7 @@ def lambda_lists(draw):
 def reference_scores(u, v, j, code, lam, blind=False):
     """The scores of the solver's rows at the joint degrees j, by the reference's kernels."""
     parts = backends.anchor_parts(solver_rows(u, v, np.atleast_1d(j), blind), code)
-    return backends.ratio(backends.combine(parts, lam))
+    return backends.ratio(backends.mix(lam, *parts))
 
 
 def reference_score(u, v, j, code, lam):
@@ -302,24 +302,24 @@ class TestRootFind:
 
     def test_bound_optimum_solves_in_one_kernel_call(self, monkeypatch):
         # The target lies outside the scores at j_lo and j_hi, so the first
-        # call answers every lambda at a bound, with one combine for all.
+        # call answers every lambda at a bound, with one mix for all.
         calls = self.kernel_calls(monkeypatch)
-        combine, combines = backends.combine, []
+        mix, mixes = backends.mix, []
 
         def record(*args):
-            combines.append(len(calls))
-            return combine(*args)
+            mixes.append(len(calls))
+            return mix(*args)
 
-        monkeypatch.setattr(backends, "combine", record)
+        monkeypatch.setattr(backends, "mix", record)
         for uv, target, bound in [((0.07, 0.86), 0.9, 1), ((0.1, 0.9), 12 / 70, 1),
                                   ((0.86, 0.07), 12 / 70, 1), ((0.07, 0.86), 0.0, 0)]:
             u, v = uv
             for lams in (np.array([0.5]), np.linspace(0.0, 1.0, 21)):
                 calls.clear()
-                combines.clear()
+                mixes.clear()
                 j_opt, _ = pain._solve(u, v, *joint_bounds(u, v), target, 3, lams)
                 assert j_opt == [joint_bounds(u, v)[bound]] * len(lams)
-                assert calls == [pain._FIRST] and combines == [1]
+                assert calls == [pain._FIRST] and mixes == [1]
 
     def test_interior_optimum_refines_in_few_calls(self, monkeypatch):
         # The optimum at j = 0.03 is inside the interval: after the first
@@ -362,25 +362,30 @@ class TestRootFind:
 
     @pytest.mark.parametrize("blind", [False, True])
     @pytest.mark.parametrize("lams", [np.array([0.5]), np.linspace(0.0, 1.0, 21)])
-    def test_exact_tie_takes_the_one_point_path(self, blind, lams, monkeypatch):
+    def test_ties_and_zero_width_answer_j_lo_in_one_call(self, blind, lams, monkeypatch):
         # u == v: both anchors' terms are the same floats, the first two
         # swapped, so every score is exactly 0.5 and every objective ties.
-        # One kernel call of one point answers j_lo for every lambda.
+        # A zero-width interval scores its one j at every point.  Either
+        # way the first call answers j_lo for every lambda.
         points = self.kernel_calls(monkeypatch)
-        for u in (0.0, 0.3, 0.5, 0.8, 1.0):
-            j_lo = joint_bounds(u, u)[0]
+        ties = [(u, u) for u in (0.0, 0.3, 0.5, 0.8, 1.0)]
+        for u, v in ties + [(0.0, 0.6), (0.6, 1.0), (1.0, 0.3)]:
+            j_lo, j_hi = joint_bounds(u, v)
             for code in range(65):
                 points.clear()
-                j_opt, s_opt = pain._solve(u, u, *joint_bounds(u, u), 0.2, code, lams, blind)
-                assert points == [1]
+                j_opt, s_opt = pain._solve(u, v, j_lo, j_hi, 0.2, code, lams, blind)
+                assert points == [pain._FIRST]
                 assert j_opt == [j_lo] * len(lams)
-                assert s_opt == [0.5] * len(lams)
+                if u == v:
+                    assert s_opt == [0.5] * len(lams)
+                want = [reference_scores(u, v, j_lo, code, lam, blind)[0] for lam in lams]
+                assert np.array(s_opt).tobytes() == np.array(want).tobytes()
 
     def test_exact_tie_sweep_makes_one_call_per_order(self, monkeypatch):
         points = self.kernel_calls(monkeypatch)
         rows = sensitivity_sweep(0.3, 0.3, 0.4, [*range(1, 11), CHEBYSHEV],
                                  np.linspace(0.0, 1.0, 21))
-        assert points == [1] * 11
+        assert points == [pain._FIRST] * 11
         assert {(row.j_opt, row.s_opt) for row in rows} == {(joint_bounds(0.3, 0.3)[0], 0.5)}
 
     def test_next_points_fall_back(self):
@@ -438,8 +443,8 @@ class TestRootFind:
 
 # Minor page faults per solve over 600 solves that follow 60 warm-up ones.
 # Each step takes a solve whose answer may lie inside its interval, an
-# all-ties one (u == v at lambda = 0), which takes the one-point path, and
-# a near tie (|u - v| = 1e-12 at lambda = 0), whose scores are flat to
+# all-ties one (u == v at lambda = 0), which the first kernel call answers,
+# and a near tie (|u - v| = 1e-12 at lambda = 0), whose scores are flat to
 # rounding.
 FAULTS_PER_SOLVE = """
 import resource

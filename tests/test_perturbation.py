@@ -270,6 +270,11 @@ class TestConfigValidation:
         with pytest.raises(OutOfRangeError):
             PerturbationConfig(base_pair=PAIR, seed=-1)
 
+    @pytest.mark.parametrize("field, value", [("trials", True), ("seed", False)])
+    def test_boolean_count_refused(self, field, value):
+        with pytest.raises(OutOfRangeError, match=f"{field} must be"):
+            PerturbationConfig(base_pair=PAIR, **{field: value})
+
     def test_bad_lambda(self):
         with pytest.raises(OutOfRangeError):
             PerturbationConfig(base_pair=PAIR, lambda_values=(1.5,))
